@@ -74,9 +74,9 @@ struct RouterOptions {
   int num_threads{0};
   /// Serve the greedy's best-partner queries from the maintained dynamic
   /// bucket index (cts::BuildOptions::partner_index): near-linear topology
-  /// construction, bit-identical trees. `false` falls back to the
-  /// exhaustive rescan engine -- the reference `gcr_check --index-diff`
-  /// differential-checks against.
+  /// construction, bit-identical trees. `false` selects the serial
+  /// reference engine (plain best-partner rescans, no pruning) -- the
+  /// oracle `gcr_check --index-diff` differential-checks against.
   bool partner_index{true};
   tech::TechParams tech{};
 };

@@ -14,8 +14,9 @@
 /// \file greedy.h
 /// Greedy bottom-up topology construction (paper section 4.2).
 ///
-/// Both engines repeatedly merge the pair of active subtrees with the
-/// minimum cost, performing an exact zero-skew merge at each step:
+/// The greedy repeatedly merges the pair of active subtrees with the
+/// minimum cost, performing an exact zero-skew merge at each step. The
+/// costs:
 ///
 ///   * NearestNeighbor -- the conventional heuristic [Edahiro'91]: cost is
 ///     the Manhattan distance between merging segments. Used for the
@@ -29,32 +30,39 @@
 ///
 /// The engine caches each candidate's electrical tap, activation mask,
 /// P(EN), P_tr(EN) and CP distance, so evaluating a pair cost is a closed-
-/// form zero-skew merge plus a handful of flops; a best-partner array with
-/// lazy recomputation keeps the whole construction near O(N^2).
+/// form zero-skew split plus a handful of flops.
 ///
-/// Two accelerations sit on top (both produce bit-identical topologies, at
-/// any thread count -- see docs/parallelism.md):
+/// Each merge asks one question -- which live pair has the least cost? --
+/// and two engines answer it, both under the strict (cost, lower-id,
+/// higher-id) tie-break, so they build bit-identical topologies:
 ///
-///   * the best-partner rescans and the post-merge refresh are sharded
-///     across a gcr::par thread pool with a strict (cost, lower-id,
-///     higher-id) tie-break, so the chosen merge never depends on scan or
-///     scheduling order;
-///   * a uniform-grid spatial prune skips the exact zero-skew merge for
-///     pairs whose cheap Eq. 3 lower bound (merging-segment distance times
-///     the floored probability weight, plus each side's merge-invariant
-///     terms) already exceeds the incumbent best. Only strictly-dominated
-///     pairs are pruned, so the argmin (ties included) is untouched; the
-///     `cts.pruned_pairs` counter records the skip rate.
+///   * the production engine (BuildOptions::partner_index, the default for
+///     the geometric costs): a maintained dynamic bucket index
+///     (cts/partner_index.h) holds every live candidate's best partner
+///     under lazy invalidation, a lazy-deletion heap keyed by the strict
+///     order yields the next merge, and each merge queries only the new
+///     node plus the candidates whose cached partner died and whose entry
+///     surfaced -- near-linear construction (docs/ALGORITHMS.md has the
+///     invariant and its proof sketch). The index prunes strictly-dominated
+///     buckets and pairs with its own Eq. 3 bounds; `cts.pruned_pairs` and
+///     the `cts.index_*` counters record that work.
+///   * the reference engine (`partner_index = false`, and always for
+///     ActivityOnly, which has no geometric bound): a serial best-partner
+///     array with lazy recomputation. Each entry is a plain rescan of the
+///     whole front, checked against every newborn candidate, and rescanned
+///     again only when it surfaces as the least entry with a dead partner
+///     -- ~O(N^2), no pruning, no heap, no thread pool, and no code shared
+///     with the index. It is the oracle `gcr_check --index-diff` and the
+///     `scale` ctest label compare the production engine against.
 ///
-/// With BuildOptions::partner_index (the default for the geometric costs)
-/// the rescans disappear entirely: a maintained dynamic bucket index
-/// (cts/partner_index.h) holds every live candidate's best partner under
-/// lazy invalidation, a lazy-deletion heap keyed by the same strict
-/// (cost, lower-id, higher-id) order yields the next merge, and each merge
-/// recomputes only the new node plus the candidates whose cached partner
-/// just died -- near-linear construction, still bit-identical to the
-/// exhaustive engine (see docs/ALGORITHMS.md for the invariant and its
-/// proof sketch).
+/// A pair is always priced with its lower node id as the merge's `a` side,
+/// the order the merge itself is committed in: the Eq. 3 expression rounds
+/// differently under a swap, and an order-dependent cost lets two exact
+/// engines break a near-tie differently.
+///
+/// The flat build is serial except the production engine's initial
+/// all-leaves best-partner pass, which gcr::par shards; the topology is
+/// bit-identical at any thread count (docs/parallelism.md).
 
 namespace gcr::cts {
 
@@ -84,24 +92,20 @@ struct BuildOptions {
   /// keeps a geometric term in every merge; 0 reproduces the literal paper
   /// cost.
   double min_prob_weight{0.05};
-  /// Worker threads for the candidate scans (gcr::par). 0 resolves to the
-  /// GCR_THREADS environment default (else the hardware thread count); 1
-  /// runs serially. The built topology is bit-identical at every setting.
+  /// Worker threads (gcr::par) for the production engine's initial
+  /// best-partner pass and, in cts/clustered.h, the per-cell builds. 0
+  /// resolves to the GCR_THREADS environment default (else the hardware
+  /// thread count); 1 runs serially. The built topology is bit-identical
+  /// at every setting.
   int num_threads{0};
-  /// Skip exact Eq. 3 evaluation of provably-dominated pairs via the
-  /// uniform-grid lower bound (SwitchedCapacitance cost only). Never
-  /// changes the result; `false` forces exhaustive evaluation and is the
-  /// reference the prune tests compare against.
-  bool spatial_prune{true};
-  /// Serve best-partner queries from a maintained dynamic bucket index
-  /// (cts/partner_index.h) instead of rescanning the whole front per
-  /// merge: near-linear construction instead of ~O(N^2). Applies to the
-  /// geometric costs (NearestNeighbor, SwitchedCapacitance) and requires
-  /// `spatial_prune` (the shared lower-bound machinery); ActivityOnly has
-  /// no geometric bound and always uses the rescan engine. Never changes
-  /// the result -- the topology is bit-identical to the exhaustive path at
-  /// any thread count; `false` falls back to the rescan engine and is the
-  /// reference `gcr_check --index-diff` compares against.
+  /// Serve best-partner queries from the maintained dynamic bucket index
+  /// (cts/partner_index.h): near-linear construction instead of the
+  /// reference engine's ~O(N^2) rescans. Applies to the geometric costs
+  /// (NearestNeighbor, SwitchedCapacitance); ActivityOnly always runs the
+  /// reference engine. Never changes the result -- the topology is
+  /// bit-identical to the reference at any thread count. `false` selects
+  /// the serial reference engine, the oracle `gcr_check --index-diff`
+  /// compares against.
   bool partner_index{true};
   tech::TechParams tech{};
 };

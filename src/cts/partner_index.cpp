@@ -16,8 +16,7 @@ void PartnerIndex::init(Metric metric, const tech::TechParams* tech,
   ylo_ = ylo;
   w_ = std::max(w, 1e-12);
   h_ = std::max(h, 1e-12);
-  // Same occupancy target as the seed grid: ~2 items per bucket at the
-  // expected population.
+  // Occupancy target: ~2 items per bucket at the expected population.
   dim_ = std::max(1, static_cast<int>(std::floor(std::sqrt(expected / 2.0))));
   size_ = 0;
   last_rebuild_size_ = expected;

@@ -36,8 +36,8 @@
 /// to the smallest partner id -- is what lets the greedy engine stay
 /// bit-identical to the exhaustive rescan: the query only ever skips pairs
 /// it can prove *strictly* dominated. All bounds are slackened by
-/// `1 - 1e-9` (mirroring the engine's kLbSlack) and compared with strict
-/// `>`, so a tie-capable candidate is never skipped.
+/// `1 - 1e-9` (kSlack) and compared with strict `>`, so a tie-capable
+/// candidate is never skipped.
 ///
 /// The scan is a best-first DFS over the pyramid: a node prices the
 /// cheapest pair its subtree could possibly contain from a distance bound
@@ -323,9 +323,9 @@ class PartnerIndex {
     return dx + dy;
   }
 
-  /// Mirrors the greedy engine's kLbSlack: bounds and exact costs come
-  /// from different float expressions, so a few ulps of slack keep a
-  /// legitimate (tie-capable) candidate from looking strictly dominated.
+  /// Bounds and exact costs come from different float expressions, so a
+  /// few ulps of slack keep a legitimate (tie-capable) candidate from
+  /// looking strictly dominated.
   static constexpr double kSlack = 1.0 - 1e-9;
 
   /// How many of the globally cheapest-self candidates seed the incumbent

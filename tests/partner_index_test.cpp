@@ -8,10 +8,14 @@
 #include <random>
 #include <vector>
 
+#include "activity/analyzer.h"
 #include "clocktree/zskew.h"
+#include "cts/greedy.h"
 #include "geom/point.h"
+#include "obs/metrics.h"
 #include "tech/params.h"
 #include "test_seed.h"
+#include "verify/generator.h"
 
 /// \file partner_index_test.cpp
 /// Property tests for cts::PartnerIndex: at every step of a seeded random
@@ -369,6 +373,29 @@ TEST(PartnerIndex, ZeroAreaDieDoesNotDivideByZero) {
   const auto best =
       idx.find_best(0, [](int, double, bool) { return 0.0; });
   EXPECT_EQ(best.partner, 1);
+}
+
+TEST(PartnerIndex, PrunesPairsInTheGreedyOnRealInstances) {
+  // The default build runs the indexed engine; on a generated design its
+  // bounds must actually skip pairs, and the work must come from index
+  // queries (not from the reference engine's rescans).
+  verify::DesignSpec spec = verify::random_spec(77);
+  spec.num_sinks = std::max(spec.num_sinks, 96);  // enough pairs to prune
+  const core::Design design = verify::generate_design(spec);
+  const activity::ActivityAnalyzer an(design.rtl, design.stream);
+  const auto mods =
+      cts::identity_modules(static_cast<int>(design.sinks.size()));
+  cts::BuildOptions opts;
+  opts.cost = cts::MergeCost::SwitchedCapacitance;
+  opts.control_point = design.die.center();
+
+  obs::set_metrics_enabled(true);
+  obs::Registry::global().reset();
+  const cts::BuildResult r = cts::build_topology(design.sinks, &an, mods, opts);
+  obs::set_metrics_enabled(false);
+  EXPECT_TRUE(r.topo.valid());
+  EXPECT_GT(obs::Registry::global().counter("cts.index_queries").value(), 0u);
+  EXPECT_GT(obs::Registry::global().counter("cts.pruned_pairs").value(), 0u);
 }
 
 }  // namespace

@@ -311,13 +311,12 @@ void register_route(Groups& g, bool quick) {
 
 void register_route_par(Groups& g, bool quick, int threads_override) {
   // Routed gated (no reduction pass, so the timed section is dominated by
-  // the Eq. 3 greedy the pool shards); the thread sweep makes the scaling
-  // visible in one sidecar. The routed tree is identical at every width
-  // -- only the time may differ. Two full-tier sizes: since the indexed
-  // engine (PR 7) an n=2048 front is mostly below the serial-cutover
-  // threshold, so only the n=16384 rows genuinely shard work across the
-  // pool; the small rows instead pin that t>1 stays free of dispatch
-  // overhead.
+  // the Eq. 3 greedy); the thread sweep makes the scaling visible in one
+  // sidecar. The routed tree is identical at every width -- only the time
+  // may differ. The flat build's only sharded construct is the indexed
+  // engine's initial best-partner pass (64 queries per chunk), so the
+  // rows mostly pin that t>1 costs no more than t=1; the n=16384 rows are
+  // where that pass spreads over the pool.
   const std::vector<int> sizes =
       quick ? std::vector<int>{512} : std::vector<int>{2048, 16384};
   std::vector<int> widths = quick ? std::vector<int>{1, 4}
