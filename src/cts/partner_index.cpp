@@ -32,7 +32,8 @@ void PartnerIndex::build_levels() {
   levels_.clear();
   level_dim_.clear();
   for (int d = dim_;; d = (d + 1) / 2) {
-    levels_.emplace_back(static_cast<std::size_t>(d) * d);
+    const auto blocks = static_cast<std::size_t>((d + 1) / 2);
+    levels_.emplace_back(blocks * blocks * 4);
     level_dim_.push_back(d);
     if (d == 1) break;
   }
@@ -53,8 +54,8 @@ void PartnerIndex::bucket_insert(int id, const Item& item) {
   // Tighten the aggregates along the leaf-to-root path.
   int x = cell % dim_;
   int y = cell / dim_;
-  for (std::size_t k = 0; k < levels_.size(); ++k) {
-    levels_[k][static_cast<std::size_t>(y) * level_dim_[k] + x].absorb(item);
+  for (int k = 0; k < num_levels(); ++k) {
+    node_at(k, x, y).absorb(item);
     x /= 2;
     y /= 2;
   }
@@ -84,14 +85,23 @@ void PartnerIndex::remove(int id) {
   if (metric_ == Metric::SwitchedCap)
     self_order_.erase({items_[static_cast<std::size_t>(id)].self_cost, id});
   --size_;
-  // Only the exact live counts shrink; min/max aggregates and bboxes are
-  // left stale-conservative. rebuild() restores exactness.
+  refresh_path(cell);
+}
+
+void PartnerIndex::refresh_path(int cell) {
   int x = cell % dim_;
   int y = cell / dim_;
-  for (std::size_t k = 0; k < levels_.size(); ++k) {
-    --levels_[k][static_cast<std::size_t>(y) * level_dim_[k] + x].count;
+  Node leaf;
+  for (const int j : bucket_ids_[static_cast<std::size_t>(cell)])
+    leaf.absorb(items_[static_cast<std::size_t>(j)]);
+  node_at(0, x, y) = leaf;
+  for (int k = 1; k < num_levels(); ++k) {
     x /= 2;
     y /= 2;
+    const Node* kids = &node(k - 1, 2 * x, 2 * y);  // one block, padded
+    Node agg;
+    for (int c = 0; c < 4; ++c) agg.merge(kids[c]);
+    node_at(k, x, y) = agg;
   }
 }
 

@@ -27,8 +27,10 @@
 ///
 /// Items live in a uniform bucket grid; above the grid sits a pyramid of
 /// 2x2 aggregation nodes (a quadtree built bottom-up), each carrying
-/// conservative aggregates over its subtree: the live count, the bounding
+/// exact aggregates over its subtree: the live count, the bounding
 /// box of member centers, and min self_cost / min p_floor / max reach.
+/// Each level is stored block-major: the 2x2 siblings under one parent
+/// sit side by side, because a query always prices them together.
 ///
 /// find_best(id) returns the *exact* (cost, partner-id) argmin over every
 /// other stored item, where the cost of a pair is whatever the caller's
@@ -39,17 +41,15 @@
 /// `1 - 1e-9` (kSlack) and compared with strict `>`, so a tie-capable
 /// candidate is never skipped.
 ///
-/// The scan is a best-first DFS over the pyramid: a node prices the
-/// cheapest pair its subtree could possibly contain from a distance bound
+/// A node prices the cheapest pair its subtree could possibly contain from
+/// a distance bound
 ///
 ///   d = max(0, dist(center_q, member-bbox) - reach_q - max_reach)
 ///
 /// (for Metric::Distance the cost IS the distance; for SwitchedCap the
 /// bound is priced through Eq. 3 with the node's min self_cost / min
 /// p_floor), and a node whose bound strictly exceeds the incumbent is
-/// discarded with its entire subtree. Children are descended cheapest
-/// bound first (ties toward the lower child index), so the incumbent
-/// tightens as fast as possible.
+/// discarded with its entire subtree.
 ///
 /// SwitchedCap bounds price the wire *per side* of the zero-skew balance
 /// split, each side's length at its own probability weight. This is the
@@ -68,29 +68,39 @@
 /// sits far from the query's is priced out even at distance 0.
 ///
 /// Branch-and-bound is only as good as its first incumbent, so the query
-/// seeds from both ends of the cost structure before descending. Every
-/// query starts with the query's own bucket -- the distance-0 neighborhood,
-/// the right guess when cost is geometry-dominated. SwitchedCap queries
-/// additionally exploit the additive structure of the Eq. 3 bound
-/// (cost(q, j) >= self_q + self_j, the wire term is nonnegative): the
-/// index keeps all items in a (self_cost, id)-ordered set and the query
-/// prices its first few entries -- the globally cheapest selves, the right
-/// guess in the activity-floor regime where wire is nearly free and the
-/// best partner may sit anywhere on the die. A near-final incumbent before
-/// the DFS is what lets node bounds discard whole quadrants at the top of
-/// the pyramid instead of near the leaves. Per candidate a per-pair
-/// bound (center distance minus reaches, priced through the metric) is
-/// tried before `eval`; survivors pay the exact pair cost, which the
-/// engine computes from the closed-form balance split without touching
+/// seeds from both ends of the cost structure first. Every query starts
+/// with the query's own bucket -- the distance-0 neighborhood, the right
+/// guess when cost is geometry-dominated. SwitchedCap queries additionally
+/// exploit the additive structure of the Eq. 3 bound (cost(q, j) >= self_q
+/// + self_j, the wire term is nonnegative): the index keeps all items in a
+/// (self_cost, id)-ordered set and the query prices its first few entries
+/// -- the globally cheapest selves, the right guess in the activity-floor
+/// regime where wire is nearly free and the best partner may sit anywhere
+/// on the die.
+///
+/// The query then walks *outward* from its own cell: at each level, from
+/// the bucket grid up to the level below the root, it prices the (at most
+/// three) siblings of its own ancestor and descends best-first (cheapest
+/// bound first, ties toward the lower (y, x)) into those whose bound does
+/// not strictly exceed the incumbent. The siblings of the ancestors
+/// partition every non-own cell, so each is covered exactly once; near
+/// cells come first, so the incumbent is near-final before the walk
+/// reaches the large far quadrants, which are then discarded whole. (A
+/// root-down descent instead prices every level's four children on the
+/// way down to the query's neighborhood.) Per candidate a per-pair bound
+/// (center distance minus reaches, priced through the metric) is tried
+/// before `eval`; survivors pay the exact pair cost, which the engine
+/// computes from the closed-form balance split without touching
 /// merged-segment geometry.
 ///
-/// Aggregates are maintained *conservatively* under mutation: insert
-/// tightens them along the leaf-to-root path (running min/max, bbox
-/// growth), remove only decrements the exact live counts -- stale bounds
-/// only weaken pruning, never break it. Exactness is restored by a full
-/// rebuild whenever the population halves, which also re-derives the grid
-/// dimension from the live size, so bucket occupancy stays O(1) as the
-/// merge front shrinks.
+/// Aggregates are *exact* under mutation: insert tightens them along the
+/// leaf-to-root path (running min/max, bbox growth); remove re-derives the
+/// leaf bucket from its remaining members and then each ancestor from its
+/// at most four children, O(bucket + 4 * levels). A removed item therefore
+/// never leaves a stale min/max or bbox behind to loosen later bounds. A
+/// full rebuild still runs whenever the population halves, only to
+/// re-derive the grid dimension from the live size, so bucket occupancy
+/// stays O(1) as the merge front shrinks.
 ///
 /// The structure is single-writer: insert/remove/rebuild happen on the
 /// engine's coordinating thread between scans. find_best is const and
@@ -135,48 +145,21 @@ class PartnerIndex {
   /// the query did NOT pay an exact evaluation for, whatever bound level
   /// skipped it (subtree or bucket discard, per-pair bound, or the
   /// caller's own bound signalled via an infinite eval result);
-  /// `bucket_skips` counts discarded pyramid nodes (all levels).
+  /// `bucket_skips` counts discarded pyramid nodes (all levels). The last
+  /// two count work done: `node_bounds` the pyramid-node bounds priced,
+  /// `bucket_items` the bucket members visited (the query's own bucket
+  /// included).
   struct QueryStats {
     std::uint64_t evaluated{0};
     std::uint64_t pruned{0};
     std::uint64_t bucket_skips{0};
+    std::uint64_t node_bounds{0};
+    std::uint64_t bucket_items{0};
   };
 
-  /// `tech` must outlive the index (only wire_cap is used, and only for
-  /// Metric::SwitchedCap). `capacity` bounds the node ids ever stored;
-  /// `expected` sizes the initial grid (the number of initial inserts).
-  /// The grid covers [xlo, xlo+w] x [ylo, ylo+h].
-  void init(Metric metric, const tech::TechParams* tech, int capacity,
-            int expected, double xlo, double ylo, double w, double h);
-
-  void insert(int id, const Item& item);
-  void remove(int id);
-  [[nodiscard]] bool contains(int id) const {
-    return cell_of_[static_cast<std::size_t>(id)] >= 0;
-  }
-  [[nodiscard]] int size() const { return size_; }
-  [[nodiscard]] std::uint64_t rebuild_count() const { return rebuilds_; }
-
-  /// Rebuild (exact aggregates, re-derived grid dimension) when the live
-  /// population has halved since the last rebuild. Returns true when a
-  /// rebuild happened. Call between merges, never during queries.
-  bool maybe_rebuild();
-
-  /// Exact best partner of `id` (which must be stored): the (cost,
-  /// partner-id) argmin of `eval` over every other stored item, ties to
-  /// the smallest id. `eval(j, incumbent, has_incumbent)` returns the
-  /// exact pair cost, or +infinity to signal that its own lower bound
-  /// proved the pair strictly worse than `incumbent` (it must never do so
-  /// when `has_incumbent` is false, and never prune a pair that could tie
-  /// the incumbent). Returns partner -1 iff `id` is the only item.
-  template <class Eval>
-  [[nodiscard]] Best find_best(int id, Eval&& eval,
-                               QueryStats* stats = nullptr) const;
-
- private:
-  /// One pyramid node: conservative aggregates over its subtree (level 0:
-  /// one bucket; level k: up to 2x2 nodes of level k-1). `count` is exact;
-  /// everything else only tightens on insert and resets on rebuild.
+  /// One pyramid node: exact aggregates over the live members of its
+  /// subtree (level 0: one bucket; level k: up to 2x2 nodes of level k-1).
+  /// An empty node keeps the default (identity) values.
   struct Node {
     int count{0};
     double min_self{std::numeric_limits<double>::infinity()};
@@ -202,20 +185,133 @@ class PartnerIndex {
       max_a = std::max(max_a, item.a_coef);
       min_b = std::min(min_b, item.b_coef);
       max_b = std::max(max_b, item.b_coef);
+      grow_bbox(item.center.x, item.center.y, item.center.x, item.center.y);
+    }
+
+    /// Fold a child's aggregates in (min/max are order-independent, so
+    /// this equals absorbing the child's members one by one).
+    void merge(const Node& c) {
+      if (c.count == 0) return;
+      count += c.count;
+      min_self = std::min(min_self, c.min_self);
+      min_pf = std::min(min_pf, c.min_pf);
+      max_reach = std::max(max_reach, c.max_reach);
+      min_a = std::min(min_a, c.min_a);
+      max_a = std::max(max_a, c.max_a);
+      min_b = std::min(min_b, c.min_b);
+      max_b = std::max(max_b, c.max_b);
+      grow_bbox(c.bx0, c.by0, c.bx1, c.by1);
+    }
+
+   private:
+    void grow_bbox(double x0, double y0, double x1, double y1) {
       if (!bbox_set) {
-        bx0 = bx1 = item.center.x;
-        by0 = by1 = item.center.y;
+        bx0 = x0;
+        by0 = y0;
+        bx1 = x1;
+        by1 = y1;
         bbox_set = true;
       } else {
-        bx0 = std::min(bx0, item.center.x);
-        by0 = std::min(by0, item.center.y);
-        bx1 = std::max(bx1, item.center.x);
-        by1 = std::max(by1, item.center.y);
+        bx0 = std::min(bx0, x0);
+        by0 = std::min(by0, y0);
+        bx1 = std::max(bx1, x1);
+        by1 = std::max(by1, y1);
       }
     }
   };
 
+  /// `tech` must outlive the index (only wire_cap is used, and only for
+  /// Metric::SwitchedCap). `capacity` bounds the node ids ever stored;
+  /// `expected` sizes the initial grid (the number of initial inserts).
+  /// The grid covers [xlo, xlo+w] x [ylo, ylo+h].
+  void init(Metric metric, const tech::TechParams* tech, int capacity,
+            int expected, double xlo, double ylo, double w, double h);
+
+  void insert(int id, const Item& item);
+  void remove(int id);
+  [[nodiscard]] bool contains(int id) const {
+    return cell_of_[static_cast<std::size_t>(id)] >= 0;
+  }
+  [[nodiscard]] int size() const { return size_; }
+  [[nodiscard]] std::uint64_t rebuild_count() const { return rebuilds_; }
+
+  /// Rebuild the grid (dimension re-derived from the live size, so bucket
+  /// occupancy stays O(1)) when the live population has halved since the
+  /// last rebuild. Returns true when a rebuild happened. Call between
+  /// merges, never during queries.
+  bool maybe_rebuild();
+
+  /// Exact best partner of `id` (which must be stored): the (cost,
+  /// partner-id) argmin of `eval` over every other stored item, ties to
+  /// the smallest id. `eval(j, incumbent, has_incumbent)` returns the
+  /// exact pair cost, or +infinity to signal that its own lower bound
+  /// proved the pair strictly worse than `incumbent` (it must never do so
+  /// when `has_incumbent` is false, and never prune a pair that could tie
+  /// the incumbent). Returns partner -1 iff `id` is the only item.
+  template <class Eval>
+  [[nodiscard]] Best find_best(int id, Eval&& eval,
+                               QueryStats* stats = nullptr) const;
+
+  /// Read-only view of the pyramid for audits: level 0 is the bucket grid,
+  /// the last level is the 1x1 root.
+  [[nodiscard]] int num_levels() const {
+    return static_cast<int>(levels_.size());
+  }
+  [[nodiscard]] int level_dim(int level) const {
+    return level_dim_[static_cast<std::size_t>(level)];
+  }
+  [[nodiscard]] const Node& node(int level, int x, int y) const {
+    return levels_[static_cast<std::size_t>(level)][slot(level, x, y)];
+  }
+  [[nodiscard]] const std::vector<int>& bucket(int x, int y) const {
+    return bucket_ids_[static_cast<std::size_t>(y) * dim_ + x];
+  }
+
+ private:
+  /// A pyramid node queued for expansion with its priced bound.
+  struct Visit {
+    double bound;
+    int x, y;
+  };
+
+  /// Order at most four visits by (bound, y, x) -- cheapest first, so the
+  /// incumbent tightens early; ties toward the lower cell. An insertion
+  /// sort: the lists are tiny, and std::sort's inlined guard-free loop
+  /// draws a false -Warray-bounds from gcc at -O2.
+  static void sort_visits(Visit* v, int n) {
+    for (int i = 1; i < n; ++i) {
+      const Visit cur = v[i];
+      int k = i;
+      for (; k > 0; --k) {
+        const Visit& prev = v[k - 1];
+        const bool before =
+            cur.bound != prev.bound
+                ? cur.bound < prev.bound
+                : (cur.y != prev.y ? cur.y < prev.y : cur.x < prev.x);
+        if (!before) break;
+        v[k] = prev;
+      }
+      v[k] = cur;
+    }
+  }
+
+  /// Storage index of cell (x, y) on `level`: block-major, so the 2x2
+  /// siblings under one parent -- the unit every query prices at once --
+  /// sit side by side. Block (x/2, y/2) in a grid of ceil(dim/2) blocks
+  /// per row, slot (y%2, x%2) within it.
+  [[nodiscard]] std::size_t slot(int level, int x, int y) const {
+    const int bdim = (level_dim(level) + 1) / 2;
+    return (static_cast<std::size_t>(y / 2) * bdim + x / 2) * 4 +
+           static_cast<std::size_t>((y % 2) * 2 + x % 2);
+  }
+  Node& node_at(int level, int x, int y) {
+    return levels_[static_cast<std::size_t>(level)][slot(level, x, y)];
+  }
+
   void bucket_insert(int id, const Item& item);
+  /// Re-derive the aggregates on the path from level-0 `cell` to the
+  /// root: the leaf from its members, each ancestor from its children.
+  void refresh_path(int cell);
   void rebuild();
   void build_levels();
   [[nodiscard]] int cell_index(const geom::Point& c) const;
@@ -344,8 +440,10 @@ class PartnerIndex {
   std::uint64_t rebuilds_{0};
   double xlo_{0.0}, ylo_{0.0}, w_{1.0}, h_{1.0};
   std::vector<std::vector<int>> bucket_ids_;  ///< level-0 member lists
-  /// levels_[0] aligns with bucket_ids_ (dim_ x dim_); each higher level
-  /// halves the dimension (ceil) until 1x1. level_dim_[k] is its width.
+  /// levels_[0] is the bucket grid (dim_ x dim_); each higher level
+  /// halves the dimension (ceil) until 1x1. level_dim_[k] is its width;
+  /// cells are stored block-major (see slot()), and the padding slots of a
+  /// ragged last block row or column stay empty.
   std::vector<std::vector<Node>> levels_;
   std::vector<int> level_dim_;
   std::vector<Item> items_;   ///< node id -> item (valid while stored)
@@ -364,6 +462,8 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
   const Item& q = items_[static_cast<std::size_t>(id)];
   std::uint64_t evaluated = 0;
   std::uint64_t node_skips = 0;
+  std::uint64_t node_bounds = 0;
+  std::uint64_t bucket_items = 0;
 
   /// Price one candidate: per-pair distance bound, then the caller's eval
   /// (which may apply its own tighter bound via the +inf protocol); ties
@@ -385,21 +485,24 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
       best.partner = j;
     }
   };
+  const auto scan_bucket = [&](int x, int y) {
+    const std::vector<int>& ids = bucket(x, y);
+    bucket_items += ids.size();
+    for (const int j : ids) consider(j);
+  };
 
   // Seed the incumbent from both ends of the cost structure before the
-  // descent: the query's own bucket (the distance-0 neighborhood -- best
-  // when cost is geometry-dominated) and, for SwitchedCap, the globally
+  // walk: the query's own bucket (the distance-0 neighborhood -- best when
+  // cost is geometry-dominated) and, for SwitchedCap, the globally
   // cheapest-self candidates (best in the activity-floor regime, where the
   // wire term is nearly free and the optimum can sit anywhere on the die).
-  // A near-final incumbent before the DFS is what lets node bounds discard
-  // whole quadrants at the top of the pyramid instead of near the leaves,
-  // and what arms the eval callback's own exact-geometry bound from the
-  // first leaf scans.
+  // A near-final incumbent early is what lets node bounds discard whole
+  // quadrants, and what arms the eval callback's own exact-geometry bound
+  // from the first leaf scans.
   const int qcell = cell_of_[static_cast<std::size_t>(id)];
   const int qx = qcell % dim_;
   const int qy = qcell / dim_;
-  for (const int j : bucket_ids_[static_cast<std::size_t>(qcell)])
-    consider(j);
+  scan_bucket(qx, qy);
   if (metric_ == Metric::SwitchedCap) {
     int seeds = kSelfSeeds;
     for (const auto& [s, j] : self_order_) {
@@ -414,55 +517,62 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
     }
   }
 
-  // Best-first DFS: recurse into the cheapest child first so the incumbent
-  // tightens early; re-test each node's bound at expansion time because
-  // the incumbent may have improved since it was computed.
-  struct Visit {
-    double bound;
-    int level;
-    int x, y;
+  /// Queue the non-empty cells of the 2x2 block at (2*px, 2*py) on
+  /// `level`, except (skip_x, skip_y), with their priced bounds. Cells
+  /// past a ragged edge are padding slots that stay empty.
+  const auto price_block = [&](int level, int px, int py, int skip_x,
+                               int skip_y, Visit* out) -> int {
+    const Node* block = &node(level, 2 * px, 2 * py);
+    int n = 0;
+    for (int k = 0; k < 4; ++k) {
+      const int cx = 2 * px + k % 2;
+      const int cy = 2 * py + k / 2;
+      if (block[k].count == 0 || (cx == skip_x && cy == skip_y)) continue;
+      ++node_bounds;
+      out[n++] = {node_bound(q, block[k]), cx, cy};
+    }
+    sort_visits(out, n);
+    return n;
   };
-  const auto descend = [&](const auto& self, int level, int x, int y) -> void {
-    if (level == 0) {
-      if (x == qx && y == qy) return;  // seeded above
-      for (const int j : bucket_ids_[static_cast<std::size_t>(y) * dim_ + x])
-        consider(j);
-      return;
-    }
-    const int cdim = level_dim_[static_cast<std::size_t>(level - 1)];
-    Visit kids[4];
-    int nk = 0;
-    for (int dy = 0; dy < 2; ++dy) {
-      for (int dx = 0; dx < 2; ++dx) {
-        const int cx = 2 * x + dx;
-        const int cy = 2 * y + dy;
-        if (cx >= cdim || cy >= cdim) continue;
-        const Node& c =
-            levels_[static_cast<std::size_t>(level - 1)]
-                   [static_cast<std::size_t>(cy) * cdim + cx];
-        if (c.count == 0) continue;
-        kids[nk++] = {node_bound(q, c), level - 1, cx, cy};
-      }
-    }
-    std::sort(kids, kids + nk, [](const Visit& a, const Visit& b) {
-      if (a.bound != b.bound) return a.bound < b.bound;
-      return a.y != b.y ? a.y < b.y : a.x < b.x;
-    });
-    for (int k = 0; k < nk; ++k) {
-      if (best.partner >= 0 && kids[k].bound > best.cost) {
+
+  // Best-first DFS below a node; re-test each node's bound at expansion
+  // time because the incumbent may have improved since it was computed.
+  const auto descend = [&](const auto& self, int level, const Visit* v,
+                           int n) -> void {
+    for (int k = 0; k < n; ++k) {
+      if (best.partner >= 0 && v[k].bound > best.cost) {
         ++node_skips;
         continue;
       }
-      self(self, kids[k].level, kids[k].x, kids[k].y);
+      if (level == 0) {
+        scan_bucket(v[k].x, v[k].y);
+        continue;
+      }
+      Visit kids[4];
+      const int nk = price_block(level - 1, v[k].x, v[k].y, -1, -1, kids);
+      self(self, level - 1, kids, nk);
     }
   };
 
-  const int top = static_cast<int>(levels_.size()) - 1;
-  descend(descend, top, 0, 0);
+  // Walk outward: the siblings of the query's level-k ancestor, for k from
+  // the bucket grid up to just below the root, partition every non-own
+  // cell; nearer blocks come first, so the far quadrants meet a
+  // near-final incumbent.
+  int x = qx;
+  int y = qy;
+  for (int level = 0; level + 1 < num_levels(); ++level) {
+    Visit sibs[4];
+    const int ns = price_block(level, x / 2, y / 2, x, y, sibs);
+    descend(descend, level, sibs, ns);
+    x /= 2;
+    y /= 2;
+  }
 
   if (stats != nullptr) {
     stats->evaluated += evaluated;
     stats->bucket_skips += node_skips;
+    stats->node_bounds += node_bounds;
+    stats->bucket_items += bucket_items;
     const auto others = static_cast<std::uint64_t>(size_ - 1);
     stats->pruned += evaluated >= others ? 0 : others - evaluated;
   }

@@ -1,6 +1,6 @@
 #include "io/tree_io.h"
 
-#include <iomanip>
+#include <charconv>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -21,17 +21,51 @@ using guard::LineCursor;
 }  // namespace
 
 void write_routed_tree(std::ostream& os, const ct::RoutedTree& tree) {
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
+  // Formatted with std::to_chars into one chunk buffer, flushed whenever
+  // the next line might not fit. Doubles print at chars_format::general
+  // with precision 17 (max_digits10), the same text as the "%.17g" an
+  // ostream at setprecision(max_digits10) produces, so every value
+  // round-trips exactly.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  constexpr std::size_t kMaxLine = 256;  // 8 fields of at most 24 chars
+  std::string buf(kChunk, '\0');
+  char* const begin = buf.data();
+  char* const end = begin + buf.size();
+  char* p = begin;
+  const auto put_int = [&](int v) {
+    p = std::to_chars(p, end, v).ptr;
+    *p++ = ' ';
+  };
+  const auto put_double = [&](double v) {
+    p = std::to_chars(p, end, v, std::chars_format::general,
+                      std::numeric_limits<double>::max_digits10)
+            .ptr;
+    *p++ = ' ';
+  };
+  const auto end_line = [&] { p[-1] = '\n'; };
+  const auto flush = [&] {
+    os.write(begin, p - begin);
+    p = begin;
+  };
+
   os << "# gcr routed clock tree\n";
   os << "tree " << tree.num_nodes() << ' ' << tree.num_leaves << ' '
      << tree.root << '\n';
   os << "# id x y parent edge_len gated down_cap delay\n";
   for (int id = 0; id < tree.num_nodes(); ++id) {
     const ct::RoutedNode& n = tree.node(id);
-    os << id << ' ' << n.loc.x << ' ' << n.loc.y << ' ' << n.parent << ' '
-       << n.edge_len << ' ' << (n.gated ? 1 : 0) << ' ' << n.down_cap << ' '
-       << n.delay << '\n';
+    put_int(id);
+    put_double(n.loc.x);
+    put_double(n.loc.y);
+    put_int(n.parent);
+    put_double(n.edge_len);
+    put_int(n.gated ? 1 : 0);
+    put_double(n.down_cap);
+    put_double(n.delay);
+    end_line();
+    if (static_cast<std::size_t>(end - p) < kMaxLine) flush();
   }
+  flush();
 }
 
 std::optional<ct::RoutedTree> read_routed_tree(std::istream& is,

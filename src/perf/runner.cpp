@@ -20,6 +20,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Timed calls whose minimum sizes a micro-benchmark's batch.
+constexpr int kCalibrationCalls = 8;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -73,16 +76,25 @@ std::vector<BenchResult> Runner::run(const RunnerOptions& opts,
     BenchFn fn = entry.make();
 
     // Calibrate the batch size: one rep must be long enough that the
-    // steady-clock quantization is noise, not signal. The calibration
-    // call doubles as the first warmup rep.
-    const Clock::time_point c0 = Clock::now();
-    fn();
-    const double first = seconds_since(c0);
-    if (first < opts.min_rep_seconds) {
-      const double per_call = std::max(first, 1e-9);
+    // steady-clock quantization is noise, not signal. A call that already
+    // fills a rep is timed once; a shorter one is timed kCalibrationCalls
+    // times and the minimum sizes the batch, so one slow cold call (a
+    // cache miss, a preemption) cannot shrink it. The calibration calls
+    // double as the first warmup rep.
+    const auto timed_call = [&fn] {
+      const Clock::time_point c0 = Clock::now();
+      fn();
+      return seconds_since(c0);
+    };
+    double per_call = timed_call();
+    if (per_call < opts.min_rep_seconds) {
+      for (int i = 1; i < kCalibrationCalls; ++i)
+        per_call = std::min(per_call, timed_call());
       r.batch = std::min<std::int64_t>(
           1'000'000,
-          static_cast<std::int64_t>(opts.min_rep_seconds / per_call) + 1);
+          static_cast<std::int64_t>(opts.min_rep_seconds /
+                                    std::max(per_call, 1e-9)) +
+              1);
     }
 
     for (int i = 1; i < opts.warmup_reps; ++i) fn();

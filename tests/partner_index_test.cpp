@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "activity/analyzer.h"
@@ -23,7 +24,10 @@
 /// (cost, smallest-partner-id) argmin that a brute-force O(front^2) scan
 /// over all stored items computes. This is the index's whole contract --
 /// the greedy engine stays bit-identical to the exhaustive rescan only
-/// because the query never misses a minimum and never loses a tie.
+/// because the query never misses a minimum and never loses a tie. Every
+/// insert and remove also re-checks that the pyramid's aggregates are
+/// exact (not merely conservative), the tightness the query's pruning
+/// relies on.
 
 namespace gcr {
 namespace {
@@ -86,6 +90,7 @@ struct Model {
     is_live[static_cast<std::size_t>(id)] = 1;
     live.push_back(id);
     index.insert(id, item);
+    EXPECT_EQ(aggregate_mismatch(), "") << "after insert " << id;
     return id;
   }
 
@@ -93,6 +98,87 @@ struct Model {
     is_live[static_cast<std::size_t>(id)] = 0;
     live.erase(std::find(live.begin(), live.end(), id));
     index.remove(id);
+    EXPECT_EQ(aggregate_mismatch(), "") << "after remove " << id;
+  }
+
+  void maybe_rebuild() {
+    index.maybe_rebuild();
+    EXPECT_EQ(aggregate_mismatch(), "") << "after rebuild";
+  }
+
+  /// The index's aggregates must be *exact*, not merely conservative:
+  /// every pyramid node's count, min/max fields and member bbox equal a
+  /// recompute from the live members of the buckets beneath it, and the
+  /// buckets hold each live id exactly once. Returns a description of the
+  /// first mismatch, or "" when every node is exact.
+  [[nodiscard]] std::string aggregate_mismatch() const {
+    const int dim = index.level_dim(0);
+    std::vector<int> seen(is_live.size(), 0);
+    for (int y = 0; y < dim; ++y)
+      for (int x = 0; x < dim; ++x)
+        for (const int j : index.bucket(x, y)) {
+          if (is_live[static_cast<std::size_t>(j)] == 0)
+            return "dead id " + std::to_string(j) + " in a bucket";
+          if (seen[static_cast<std::size_t>(j)]++ != 0)
+            return "id " + std::to_string(j) + " in two buckets";
+        }
+    for (const int j : live)
+      if (seen[static_cast<std::size_t>(j)] == 0)
+        return "live id " + std::to_string(j) + " in no bucket";
+
+    for (int level = 0; level < index.num_levels(); ++level) {
+      const int span = 1 << level;  // buckets per node side at this level
+      for (int y = 0; y < index.level_dim(level); ++y) {
+        for (int x = 0; x < index.level_dim(level); ++x) {
+          std::vector<int> members;
+          for (int by = y * span; by < std::min((y + 1) * span, dim); ++by)
+            for (int bx = x * span; bx < std::min((x + 1) * span, dim); ++bx)
+              for (const int j : index.bucket(bx, by)) members.push_back(j);
+          const std::string where = "level " + std::to_string(level) +
+                                    " node (" + std::to_string(x) + ", " +
+                                    std::to_string(y) + "): ";
+          const cts::PartnerIndex::Node& n = index.node(level, x, y);
+          if (n.count != static_cast<int>(members.size()))
+            return where + "count " + std::to_string(n.count) + " vs " +
+                   std::to_string(members.size());
+          if (members.empty()) {
+            if (n.bbox_set) return where + "empty node keeps a bbox";
+            continue;
+          }
+          const auto& first = items[static_cast<std::size_t>(members[0])];
+          double min_self = first.self_cost, min_pf = first.p_floor;
+          double max_reach = first.reach;
+          double min_a = first.a_coef, max_a = first.a_coef;
+          double min_b = first.b_coef, max_b = first.b_coef;
+          double x0 = first.center.x, x1 = first.center.x;
+          double y0 = first.center.y, y1 = first.center.y;
+          for (const int j : members) {
+            const auto& it = items[static_cast<std::size_t>(j)];
+            min_self = std::min(min_self, it.self_cost);
+            min_pf = std::min(min_pf, it.p_floor);
+            max_reach = std::max(max_reach, it.reach);
+            min_a = std::min(min_a, it.a_coef);
+            max_a = std::max(max_a, it.a_coef);
+            min_b = std::min(min_b, it.b_coef);
+            max_b = std::max(max_b, it.b_coef);
+            x0 = std::min(x0, it.center.x);
+            x1 = std::max(x1, it.center.x);
+            y0 = std::min(y0, it.center.y);
+            y1 = std::max(y1, it.center.y);
+          }
+          if (n.min_self != min_self || n.min_pf != min_pf ||
+              n.max_reach != max_reach)
+            return where + "stale min_self / min_pf / max_reach";
+          if (n.min_a != min_a || n.max_a != max_a || n.min_b != min_b ||
+              n.max_b != max_b)
+            return where + "stale a/b envelope";
+          if (!n.bbox_set || n.bx0 != x0 || n.bx1 != x1 || n.by0 != y0 ||
+              n.by1 != y1)
+            return where + "stale bbox";
+        }
+      }
+    }
+    return "";
   }
 
  private:
@@ -205,11 +291,11 @@ void run_sequence(cts::PartnerIndex::Metric metric, std::uint64_t seed,
         merged.b_coef = 0.05;
       }
       m.insert(merged);
-      m.index.maybe_rebuild();
+      m.maybe_rebuild();
     } else if (c < 0.75 && !m.live.empty()) {
       std::uniform_int_distribution<std::size_t> pick(0, m.live.size() - 1);
       m.remove(m.live[pick(rng)]);
-      m.index.maybe_rebuild();
+      m.maybe_rebuild();
     } else {
       m.insert(random_item(rng, side, quantized));
     }
@@ -249,7 +335,7 @@ void run_eco_churn(cts::PartnerIndex::Metric metric, std::uint64_t seed,
       const int id = m.live[pick(rng)];
       graveyard.push_back(m.items[static_cast<std::size_t>(id)]);
       m.remove(id);
-      m.index.maybe_rebuild();
+      m.maybe_rebuild();
     } else if (c < 0.70 && !graveyard.empty()) {
       std::uniform_int_distribution<std::size_t> pick(0, graveyard.size() - 1);
       const std::size_t g = pick(rng);
@@ -276,7 +362,7 @@ void run_eco_churn(cts::PartnerIndex::Metric metric, std::uint64_t seed,
       merged.a_coef = quantized ? 0.0 : ia.a_coef + ib.a_coef;
       merged.b_coef = quantized ? 0.05 : std::max(ia.b_coef, ib.b_coef);
       m.insert(merged);
-      m.index.maybe_rebuild();
+      m.maybe_rebuild();
     } else {
       m.insert(random_item(rng, side, quantized));
     }
@@ -324,7 +410,7 @@ TEST(PartnerIndex, RemoveThenReinsertSameCoordinateIsExact) {
   for (int i = 0; i < 6; ++i) m.insert(random_item(rng, 1000.0, false));
   const cts::PartnerIndex::Item departed = m.items[2];
   m.remove(2);
-  m.index.maybe_rebuild();
+  m.maybe_rebuild();
   for (const int id : m.live) expect_exact(m, id);
   const int back = m.insert(departed);  // same coordinates, new id
   EXPECT_EQ(back, 6);
