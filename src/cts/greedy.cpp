@@ -368,12 +368,8 @@ class GreedyEngine {
           obs::Registry::global().counter("cts.best_partner_recomputes");
       static obs::Counter& evals =
           obs::Registry::global().counter("cts.candidate_evals");
-      static obs::Counter& pruned_pairs =
-          obs::Registry::global().counter("cts.pruned_pairs");
       static obs::Counter& queries =
           obs::Registry::global().counter("cts.index_queries");
-      static obs::Counter& bucket_skips =
-          obs::Registry::global().counter("cts.index_bucket_skips");
       static obs::Counter& node_bounds =
           obs::Registry::global().counter("cts.index_node_bounds");
       static obs::Counter& bucket_items =
@@ -381,8 +377,6 @@ class GreedyEngine {
       recomputes.inc();
       queries.inc();
       evals.inc(qs.evaluated);
-      if (qs.pruned > 0) pruned_pairs.inc(qs.pruned);
-      if (qs.bucket_skips > 0) bucket_skips.inc(qs.bucket_skips);
       if (qs.node_bounds > 0) node_bounds.inc(qs.node_bounds);
       if (qs.bucket_items > 0) bucket_items.inc(qs.bucket_items);
     }

@@ -44,8 +44,8 @@
 ///     node plus the candidates whose cached partner died and whose entry
 ///     surfaced -- near-linear construction (docs/ALGORITHMS.md has the
 ///     invariant and its proof sketch). The index prunes strictly-dominated
-///     buckets and pairs with its own Eq. 3 bounds; `cts.pruned_pairs` and
-///     the `cts.index_*` counters record that work.
+///     buckets and pairs with its own Eq. 3 bounds; `cts.candidate_evals`
+///     and the `cts.index_*` counters record the work it still does.
 ///   * the reference engine (`partner_index = false`, and always for
 ///     ActivityOnly, which has no geometric bound): a serial best-partner
 ///     array with lazy recomputation. Each entry is a plain rescan of the

@@ -141,18 +141,12 @@ class PartnerIndex {
     int partner{-1};
   };
 
-  /// Telemetry for one find_best call. `pruned` counts every stored item
-  /// the query did NOT pay an exact evaluation for, whatever bound level
-  /// skipped it (subtree or bucket discard, per-pair bound, or the
-  /// caller's own bound signalled via an infinite eval result);
-  /// `bucket_skips` counts discarded pyramid nodes (all levels). The last
-  /// two count work done: `node_bounds` the pyramid-node bounds priced,
-  /// `bucket_items` the bucket members visited (the query's own bucket
-  /// included).
+  /// Telemetry for one find_best call, all of it work done: `evaluated`
+  /// the exact evaluations paid, `node_bounds` the pyramid-node bounds
+  /// priced, `bucket_items` the bucket members visited (the query's own
+  /// bucket included).
   struct QueryStats {
     std::uint64_t evaluated{0};
-    std::uint64_t pruned{0};
-    std::uint64_t bucket_skips{0};
     std::uint64_t node_bounds{0};
     std::uint64_t bucket_items{0};
   };
@@ -461,7 +455,6 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
   Best best;
   const Item& q = items_[static_cast<std::size_t>(id)];
   std::uint64_t evaluated = 0;
-  std::uint64_t node_skips = 0;
   std::uint64_t node_bounds = 0;
   std::uint64_t bucket_items = 0;
 
@@ -540,10 +533,7 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
   const auto descend = [&](const auto& self, int level, const Visit* v,
                            int n) -> void {
     for (int k = 0; k < n; ++k) {
-      if (best.partner >= 0 && v[k].bound > best.cost) {
-        ++node_skips;
-        continue;
-      }
+      if (best.partner >= 0 && v[k].bound > best.cost) continue;
       if (level == 0) {
         scan_bucket(v[k].x, v[k].y);
         continue;
@@ -570,11 +560,8 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
 
   if (stats != nullptr) {
     stats->evaluated += evaluated;
-    stats->bucket_skips += node_skips;
     stats->node_bounds += node_bounds;
     stats->bucket_items += bucket_items;
-    const auto others = static_cast<std::uint64_t>(size_ - 1);
-    stats->pruned += evaluated >= others ? 0 : others - evaluated;
   }
   return best;
 }

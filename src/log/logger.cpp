@@ -15,7 +15,7 @@
 #include "log/ring.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/phasestack.h"
+#include "obs/session.h"
 #include "obs/trace.h"
 #include "par/pool.h"
 
@@ -309,10 +309,6 @@ bool Logger::init(Options opts) {
   }
   if (im.opts.extra_sink) im.sinks.push_back(std::move(im.opts.extra_sink));
 
-  // Phase paths come from the same per-thread shadow the sampling
-  // profiler reads; publishing is a bounded name copy per ScopedTimer.
-  obs::set_shadow_enabled(true);
-
   im.drain = std::thread([this] { impl_->drain_loop(); });
   detail::g_runtime_level = static_cast<int>(im.opts.level);
   detail::g_log_on = true;
@@ -484,7 +480,7 @@ EventBuilder::EventBuilder(Level level, std::string_view name) {
   rec_.worker = par::worker_ordinal();
   rec_.t_ms = lg.now_ms();
   rec_.wall_ns = wall_now_ns();
-  rec_.phase = obs::current_phase_path();
+  if (const obs::Session* s = obs::current()) rec_.phase = s->timers().path();
 }
 
 EventBuilder::~EventBuilder() {

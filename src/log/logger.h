@@ -13,9 +13,9 @@
 ///
 /// Every emission is a schema-versioned `gcr.event` v1 record: monotonic
 /// and wall-clock timestamps, the run id, the emitting thread's open phase
-/// path (from the obs phasestack shadow), thread and pool-worker ordinals,
-/// a stable dot-separated event name and a key-value payload. Call sites
-/// use the GCR_LOG_* macros:
+/// path (from the bound obs session's phase stack), thread and pool-worker
+/// ordinals, a stable dot-separated event name and a key-value payload.
+/// Call sites use the GCR_LOG_* macros:
 ///
 ///   GCR_LOG_EVENT(gcr::log::Level::Info, "route.done")
 ///       .kv("sinks", n).kv("swcap_pf", w);
@@ -167,9 +167,9 @@ class Logger {
 
   /// Install sinks, start the drain thread and open the gate. Idempotent
   /// while running (a second init is ignored); re-init after shutdown()
-  /// is supported (tests). Enables obs phase-shadow publishing so events
-  /// carry phase paths. Returns false when `json_path` was set but could
-  /// not be opened (the logger still starts with the remaining sinks).
+  /// is supported (tests). Returns false when `json_path` was set but
+  /// could not be opened (the logger still starts with the remaining
+  /// sinks).
   bool init(Options opts);
 
   /// Drain everything, emit the per-name suppression summary, join the

@@ -5,8 +5,8 @@
 
 /// \file telemetry.h
 /// Continuous `gcr.snapshot` v1 emission: a dedicated thread ticks on a
-/// drift-free absolute monotonic deadline (the same clock_nanosleep
-/// pattern as the prof sampler) and serializes, per tick,
+/// drift-free absolute monotonic deadline (clock_nanosleep with
+/// TIMER_ABSTIME) and serializes, per tick,
 ///
 ///   * counter and histogram *deltas* since the previous tick (non-zero
 ///     entries only, so an idle process emits near-empty snapshots),

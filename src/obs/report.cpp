@@ -2,9 +2,10 @@
 
 #include <ostream>
 
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report_util.h"
+#include "par/pool.h"
+#include "prof/hwcounters.h"
 
 namespace gcr::obs {
 
@@ -88,6 +89,25 @@ void write_result(json::Writer& w, const core::RouterResult& r) {
   w.end_object();
 }
 
+void write_hw(json::Writer& w) {
+  const prof::HwInfo hw = prof::hw_info();
+  w.field("hw", hw.perf_event ? "perf_event" : "unavailable");
+  w.field("hw_source", hw.source);
+  w.key("hw_counters").begin_array();
+  for (const char* name : hw.names) w.value(name);
+  w.end_array();
+}
+
+void require(std::vector<std::string>& problems, bool ok, const char* what) {
+  if (!ok) problems.emplace_back(what);
+}
+
+bool has(const json::Value& doc, const char* key,
+         bool (json::Value::*is_kind)() const) {
+  const json::Value* v = doc.find(key);
+  return v && (v->*is_kind)();
+}
+
 }  // namespace
 
 void write_run_report(std::ostream& os, const core::RouterOptions& opts,
@@ -104,9 +124,62 @@ void write_run_report(std::ostream& os, const core::RouterOptions& opts,
   write_options(w, opts);
   write_phase_forest(w, session);
   write_metrics(w);
+  write_hw(w);
+  par::write_pool_json(w, par::ThreadPool::global().telemetry());
   write_result(w, result);
   w.end_object();
   os << '\n';
+}
+
+std::vector<std::string> validate_run_report(const json::Value& doc) {
+  std::vector<std::string> problems;
+  if (!doc.is_object()) {
+    problems.emplace_back("document is not a JSON object");
+    return problems;
+  }
+  const json::Value* schema = doc.find("schema");
+  require(problems, schema && schema->is_string() &&
+                        schema->as_string() == "gcr.run_report",
+          "schema != \"gcr.run_report\"");
+  const json::Value* version = doc.find("version");
+  require(problems,
+          version && version->is_number() &&
+              static_cast<int>(version->as_number()) == kReportVersion,
+          "version != 2");
+  for (const char* key : {"generated", "options", "counters", "gauges",
+                          "histograms", "result"})
+    if (!has(doc, key, &json::Value::is_object))
+      problems.push_back(std::string("missing ") + key + " object");
+  require(problems, has(doc, "phases", &json::Value::is_array),
+          "missing phases array");
+
+  const json::Value* hw = doc.find("hw");
+  require(problems,
+          hw && hw->is_string() &&
+              (hw->as_string() == "perf_event" ||
+               hw->as_string() == "unavailable"),
+          "hw must be \"perf_event\" or \"unavailable\"");
+  require(problems, has(doc, "hw_source", &json::Value::is_string),
+          "missing hw_source string");
+  const json::Value* hw_counters = doc.find("hw_counters");
+  if (hw_counters && hw_counters->is_array()) {
+    require(problems, hw_counters->as_array().size() ==
+                              static_cast<std::size_t>(kHwSlots),
+            "hw_counters must have 4 slots");
+    for (const json::Value& n : hw_counters->as_array())
+      if (!n.is_string()) {
+        problems.emplace_back("hw_counters entries must be strings");
+        break;
+      }
+  } else {
+    problems.emplace_back("missing hw_counters array");
+  }
+
+  if (const json::Value* pool = doc.find("pool"))
+    par::validate_pool_json(*pool, problems);
+  else
+    problems.emplace_back("missing pool object");
+  return problems;
 }
 
 void print_run_summary(std::ostream& os, const Session& session) {

@@ -1,17 +1,27 @@
 #pragma once
 
 #include <iosfwd>
+#include <string>
+#include <vector>
 
 #include "core/router.h"
+#include "obs/json.h"
 #include "obs/session.h"
 
 /// \file report.h
 /// Versioned JSON run reports: one document per routing run carrying the
 /// options, the phase-timing tree, every metric in the global registry,
-/// and the final switched-capacitance / delay numbers.
-/// Schema: `{"schema": "gcr.run_report", "version": 1, ...}` -- bump
+/// the hardware-counter source, the thread pool's telemetry and the final
+/// switched-capacitance / delay numbers.
+/// Schema: `{"schema": "gcr.run_report", "version": 2, ...}` -- bump
 /// `kReportVersion` on breaking layout changes and note it in
 /// docs/observability.md.
+///
+/// Version 2 added `hw` ("perf_event" | "unavailable"), `hw_source` and
+/// `hw_counters` (the four slot names of the per-phase `"hw"` objects),
+/// and the `pool` section (par/pool.h). `"hw": "unavailable"` is the
+/// explicit fallback marker: the slots then hold rusage deltas, or nothing
+/// when counters were never enabled (`hw_source` "none"), not PMU counts.
 ///
 /// Bench reports (`gcr.bench_report`, now at v2 with statistics and memory
 /// sections) moved to `perf/report.h`: they are produced by the
@@ -24,11 +34,17 @@
 
 namespace gcr::obs {
 
-inline constexpr int kReportVersion = 1;
+inline constexpr int kReportVersion = 2;
 
 /// Full run report for one routed design.
 void write_run_report(std::ostream& os, const core::RouterOptions& opts,
                       const core::RouterResult& result, const Session& session);
+
+/// Shape-check a parsed run report; one human-readable problem per
+/// violation, empty when valid (the contract of validate_bench_report).
+/// `gcr_benchdiff --validate` dispatches `gcr.run_report` documents here.
+[[nodiscard]] std::vector<std::string> validate_run_report(
+    const json::Value& doc);
 
 /// Human-readable phase tree + non-zero counters (the CLI's --verbose
 /// output, written to stderr there).

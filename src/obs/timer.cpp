@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "obs/phasestack.h"
 #include "obs/session.h"
 #include "prof/flightrec.h"
 
@@ -47,6 +46,15 @@ PhaseStats& PhaseTimers::push(std::string_view name) {
   return node;
 }
 
+std::string PhaseTimers::path() const {
+  std::string out;
+  for (std::size_t i = 1; i < stack_.size(); ++i) {
+    if (i > 1) out += '/';
+    out += stack_[i]->name;
+  }
+  return out;
+}
+
 void PhaseTimers::pop(double elapsed_ms, std::uint64_t alloc_count,
                       std::uint64_t alloc_bytes, const HwSample* hw_delta) {
   assert(stack_.size() > 1 && "pop without matching push");
@@ -73,10 +81,6 @@ ScopedTimer::ScopedTimer(const char* name) : name_(name) {
   if (const HwSamplerFn sampler = hw_sampler()) {
     h0_ = sampler();
     hw_ = true;
-  }
-  if (shadow_enabled()) {
-    shadow_push(name);
-    shadowed_ = true;
   }
   if (prof::recorder_enabled())
     prof::record(prof::Ev::PhaseEnter, name);
@@ -108,7 +112,6 @@ ScopedTimer::~ScopedTimer() {
   }
   session_->timers().pop((t1_us - t0_us_) / 1000.0, da.allocs, da.bytes,
                          have_hw ? &dh : nullptr);
-  if (shadowed_) shadow_pop();
   if (prof::recorder_enabled())
     prof::record(prof::Ev::PhaseExit, name_);
   if (TraceSink* t = session_->trace()) {

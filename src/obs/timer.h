@@ -112,6 +112,9 @@ class PhaseTimers {
   [[nodiscard]] int depth() const {
     return static_cast<int>(stack_.size()) - 1;
   }
+  /// The open phases slash-joined, outermost first ("route/topology");
+  /// empty when nothing is open. gcr::log stamps events with it.
+  [[nodiscard]] std::string path() const;
 
  private:
   PhaseStats root_;
@@ -134,7 +137,6 @@ class ScopedTimer {
   AllocSample a0_;  ///< sampler snapshot at phase entry (if installed)
   HwSample h0_;     ///< hw-counter snapshot at phase entry (if installed)
   bool hw_{false};
-  bool shadowed_{false};  ///< pushed onto this thread's PhaseShadow
 };
 
 }  // namespace gcr::obs

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "guard/deadline.h"
+#include "obs/json.h"
 #include "obs/session.h"
 
 namespace gcr::par {
@@ -75,6 +76,70 @@ void write_pool_summary(std::ostream& os, const PoolTelemetry& t) {
                 static_cast<double>(t.dispatch_overhead_ns) / 1e6,
                 static_cast<unsigned long long>(t.jobs));
   os << buf;
+}
+
+PoolTelemetry PoolTelemetry::since(const PoolTelemetry& before) const {
+  const auto minus = [](std::uint64_t a, std::uint64_t b) {
+    return a >= b ? a - b : 0;
+  };
+  PoolTelemetry d = *this;
+  for (std::size_t i = 0; i < d.workers.size() && i < before.workers.size();
+       ++i) {
+    d.workers[i].busy_ns = minus(workers[i].busy_ns, before.workers[i].busy_ns);
+    d.workers[i].idle_ns = minus(workers[i].idle_ns, before.workers[i].idle_ns);
+    d.workers[i].chunks = minus(workers[i].chunks, before.workers[i].chunks);
+  }
+  d.jobs = minus(jobs, before.jobs);
+  d.dispatch_overhead_ns =
+      minus(dispatch_overhead_ns, before.dispatch_overhead_ns);
+  return d;
+}
+
+void write_pool_json(obs::json::Writer& w, const PoolTelemetry& t) {
+  w.key("pool").begin_object();
+  w.key("workers").begin_array();
+  for (const PoolTelemetry::Worker& worker : t.workers) {
+    w.begin_object();
+    w.field("busy_ns", worker.busy_ns);
+    w.field("idle_ns", worker.idle_ns);
+    w.field("chunks", worker.chunks);
+    w.end_object();
+  }
+  w.end_array();
+  w.field("jobs", t.jobs);
+  w.field("dispatch_overhead_ns", t.dispatch_overhead_ns);
+  w.end_object();
+}
+
+void validate_pool_json(const obs::json::Value& pool,
+                        std::vector<std::string>& problems) {
+  if (!pool.is_object()) {
+    problems.emplace_back("pool is not an object");
+    return;
+  }
+  const auto is_number = [](const obs::json::Value& obj, const char* key) {
+    const obs::json::Value* v = obj.find(key);
+    return v && v->is_number();
+  };
+  for (const char* key : {"jobs", "dispatch_overhead_ns"})
+    if (!is_number(pool, key)) problems.push_back(std::string("pool.") + key +
+                                                  " missing");
+  const obs::json::Value* workers = pool.find("workers");
+  if (!workers || !workers->is_array()) {
+    problems.emplace_back("missing pool.workers array");
+    return;
+  }
+  int idx = 0;
+  for (const obs::json::Value& worker : workers->as_array()) {
+    const std::string at = "pool.workers[" + std::to_string(idx++) + "]";
+    if (!worker.is_object()) {
+      problems.push_back(at + " is not an object");
+      continue;
+    }
+    for (const char* key : {"busy_ns", "idle_ns", "chunks"})
+      if (!is_number(worker, key)) problems.push_back(at + "." + key +
+                                                      " missing");
+  }
 }
 
 ThreadPool::ThreadPool(int num_threads)

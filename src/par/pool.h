@@ -8,6 +8,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -40,6 +41,11 @@ namespace gcr::obs {
 class Session;
 }  // namespace gcr::obs
 
+namespace gcr::obs::json {
+class Value;
+class Writer;
+}  // namespace gcr::obs::json
+
 namespace gcr::par {
 
 /// Cumulative pool telemetry since process start (the global pool lives for
@@ -55,7 +61,7 @@ namespace gcr::par {
 ///
 /// The same overhead also feeds the `par.dispatch_overhead_ns` counter
 /// (plus `par.jobs` and a `par.chunks_per_job` histogram) when metrics are
-/// enabled, so bench and profile reports capture it per run.
+/// enabled, so run and bench reports capture it per run.
 struct PoolTelemetry {
   struct Worker {
     std::uint64_t busy_ns{0};
@@ -65,12 +71,25 @@ struct PoolTelemetry {
   std::vector<Worker> workers;
   std::uint64_t jobs{0};  ///< parallel dispatches (serial fallbacks excluded)
   std::uint64_t dispatch_overhead_ns{0};
+
+  /// What accrued since `before`, an earlier snapshot of the same pool
+  /// (a bench group's share of the process-lifetime totals).
+  [[nodiscard]] PoolTelemetry since(const PoolTelemetry& before) const;
 };
 
 /// One-line human summary: "pool: 7 workers, busy 12.3%, dispatch overhead
 /// 4.2 ms over 812 jobs". The --verbose CLI path appends this when running
 /// with more than one thread.
 void write_pool_summary(std::ostream& os, const PoolTelemetry& t);
+
+/// `"pool": {"workers": [{busy_ns, idle_ns, chunks} ...], "jobs",
+/// "dispatch_overhead_ns"}` -- the section run and bench reports share.
+void write_pool_json(obs::json::Writer& w, const PoolTelemetry& t);
+
+/// Shape-check a parsed `pool` section, appending one problem per
+/// violation to `problems`.
+void validate_pool_json(const obs::json::Value& pool,
+                        std::vector<std::string>& problems);
 
 /// std::thread::hardware_concurrency() clamped to >= 1, cached.
 [[nodiscard]] int hardware_threads();

@@ -5,6 +5,7 @@
 #include "obs/json.h"
 #include "obs/report_util.h"
 #include "obs/session.h"
+#include "par/pool.h"
 #include "perf/memhook.h"
 
 #ifndef GCR_GIT_SHA
@@ -87,7 +88,8 @@ void write_benchmark(obs::json::Writer& w, const BenchResult& r) {
 void write_bench_report(std::ostream& os, std::string_view bench_name,
                         const std::vector<BenchResult>& results,
                         const RunnerOptions& opts,
-                        const obs::Session* session) {
+                        const obs::Session* session,
+                        const par::PoolTelemetry* pool) {
   obs::json::Writer w(os);
   w.begin_object();
   w.field("schema", "gcr.bench_report");
@@ -114,6 +116,7 @@ void write_bench_report(std::ostream& os, std::string_view bench_name,
     w.end_array();
   }
   obs::write_metrics(w);
+  if (pool) par::write_pool_json(w, *pool);
   w.end_object();
   os << '\n';
 }

@@ -20,7 +20,10 @@
 ///     tool can refuse to compare apples to oranges,
 ///   * `memory`: process-level hook state and peak RSS,
 ///   * the v1 phase tree and metrics snapshot, unchanged (phases now carry
-///     `alloc_count`/`alloc_bytes` when the hook attributed heap traffic).
+///     `alloc_count`/`alloc_bytes` when the hook attributed heap traffic,
+///     and an `hw` object when hardware counters were attached),
+///   * `pool`: the thread pool's telemetry over the run (par/pool.h),
+///     optional so reports written before it existed stay valid.
 ///
 /// Readers: `perf/diff.h` (schema validation + regression diffing) and
 /// anything that can parse JSON. Bump `kBenchReportVersion` on breaking
@@ -29,6 +32,10 @@
 namespace gcr::obs {
 class Session;
 }  // namespace gcr::obs
+
+namespace gcr::par {
+struct PoolTelemetry;
+}  // namespace gcr::par
 
 namespace gcr::perf {
 
@@ -54,9 +61,11 @@ struct Fingerprint {
 
 /// Write one complete bench report. `session` may be null (no phase tree
 /// was collected); the metrics snapshot is global and always included.
+/// `pool` is the pool telemetry accrued over the run (omitted when null).
 void write_bench_report(std::ostream& os, std::string_view bench_name,
                         const std::vector<BenchResult>& results,
                         const RunnerOptions& opts,
-                        const obs::Session* session);
+                        const obs::Session* session,
+                        const par::PoolTelemetry* pool = nullptr);
 
 }  // namespace gcr::perf

@@ -221,6 +221,40 @@ TEST_F(LogTest, EventsCarryPhasePathAndWorkerOrdinal) {
   EXPECT_GT(max_worker, 0);
 }
 
+TEST_F(LogTest, DeepLongPhaseNamesReachTheEventWhole) {
+  log::Options opts;
+  opts.level = log::Level::Info;
+  const log::MemorySink sink = init_with_memory_sink(std::move(opts));
+
+  // 20 nested phases, each name past 40 bytes: the path is read from the
+  // session's own phase stack, so neither the depth nor the name length
+  // is cut.
+  constexpr int kDepth = 20;
+  std::vector<std::string> names;
+  std::string want;
+  for (int i = 0; i < kDepth; ++i) {
+    names.push_back("phase_" + std::to_string(i) +
+                    "_with_a_name_well_past_forty_bytes_long");
+    if (i) want += '/';
+    want += names.back();
+  }
+  ASSERT_GT(names.back().size(), 40u);
+  {
+    obs::Session session;
+    obs::Bind bind(&session);
+    std::vector<std::unique_ptr<obs::ScopedTimer>> open;
+    for (const std::string& n : names)
+      open.push_back(std::make_unique<obs::ScopedTimer>(n.c_str()));
+    GCR_LOG_INFO("ctx.deep");
+    while (!open.empty()) open.pop_back();  // close innermost first
+  }
+  log::Logger::instance().flush();
+
+  const std::vector<log::Record> deep = events_named(sink, "ctx.deep");
+  ASSERT_EQ(deep.size(), 1u);
+  EXPECT_EQ(deep[0].phase, want);
+}
+
 TEST_F(LogTest, DisabledLoggerEmitsNothingAndNeverAllocates) {
   ASSERT_FALSE(log::Logger::instance().running());
   EXPECT_FALSE(log::enabled(log::Level::Error));

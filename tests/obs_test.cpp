@@ -2,20 +2,24 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/router.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/session.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
+#include "verify/generator.h"
 
 /// Unit tests of the observability layer: JSON writer/validator, counter
 /// aggregation across threads, timer nesting and aggregation, trace-export
-/// well-formedness, and a run-report round-trip through the JSON checker.
+/// well-formedness, and a run-report round-trip through its validator.
 
 namespace gcr {
 namespace {
@@ -211,6 +215,48 @@ TEST_F(ObsTest, TraceExportIsWellFormedChromeJson) {
 
 // The bench-report writer moved to gcr::perf in v2; its round trip is
 // covered by perf_test.cpp (BenchReportRoundTrip / ValidateAcceptsOwnOutput).
+
+TEST_F(ObsTest, RunReportRoundTripsThroughTheValidator) {
+  verify::DesignSpec spec = verify::random_spec(31);
+  spec.num_sinks = 48;
+  obs::Session session;
+  core::RouterOptions opts;
+  opts.style = core::TreeStyle::Gated;
+  opts.num_threads = 4;
+  core::RouterResult r;
+  {
+    obs::Bind bind(&session);
+    const core::GatedClockRouter router(verify::generate_design(spec));
+    r = router.route(opts);
+  }
+  std::ostringstream os;
+  obs::write_run_report(os, opts, r, session);
+  const std::string text = os.str();
+
+  const std::optional<obs::json::Value> doc = obs::json::parse(text);
+  ASSERT_TRUE(doc.has_value()) << text.substr(0, 200);
+  const std::vector<std::string> problems = obs::validate_run_report(*doc);
+  EXPECT_TRUE(problems.empty()) << problems.front();
+  EXPECT_EQ(doc->find("version")->as_number(), obs::kReportVersion);
+  const std::string hw = doc->find("hw")->as_string();
+  EXPECT_TRUE(hw == "perf_event" || hw == "unavailable") << hw;
+  EXPECT_FALSE(doc->find("pool")->find("workers")->as_array().empty());
+
+  // A wrong schema tag and a missing pool section must each be reported,
+  // not silently accepted.
+  std::string bogus = text;
+  bogus.replace(bogus.find("gcr.run_report"),
+                std::string("gcr.run_report").size(), "gcr.bogus");
+  const std::optional<obs::json::Value> bad = obs::json::parse(bogus);
+  ASSERT_TRUE(bad.has_value());
+  EXPECT_FALSE(obs::validate_run_report(*bad).empty());
+
+  std::string no_pool = text;
+  no_pool.replace(no_pool.find("\"pool\""), 6, "\"loop\"");
+  const std::optional<obs::json::Value> bad2 = obs::json::parse(no_pool);
+  ASSERT_TRUE(bad2.has_value());
+  EXPECT_FALSE(obs::validate_run_report(*bad2).empty());
+}
 
 TEST_F(ObsTest, DisabledMetricsStayZeroThroughHelperPattern) {
   obs::set_metrics_enabled(false);

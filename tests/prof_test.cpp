@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,8 +23,6 @@
 #include "par/pool.h"
 #include "prof/flightrec.h"
 #include "prof/hwcounters.h"
-#include "prof/report.h"
-#include "prof/sampler.h"
 #include "verify/generator.h"
 
 namespace gcr {
@@ -157,47 +154,6 @@ TEST(HwCounters, EnvKnobForcesRusageFallback) {
   unsetenv("GCR_PROF_NO_HW");
 }
 
-// --- sampler ---------------------------------------------------------------
-
-TEST(Sampler, CreditsSelfToInnermostAndTotalToStack) {
-  // ScopedTimer (and therefore the shadow stack) is a no-op without a
-  // bound session -- the sampler observes sessions, not bare threads.
-  obs::Session session;
-  obs::Bind bind(&session);
-  prof::Sampler sampler;
-  prof::Sampler::Options opts;
-  opts.interval_us = 100;
-  sampler.start(opts);
-  {
-    obs::ScopedTimer outer("sampler_outer");
-    obs::ScopedTimer inner("sampler_inner");
-    // Burn bounded wall-clock; at a 100us tick even a fraction of this
-    // loop yields several samples.
-    volatile double sink = 0.0;
-    for (int spin = 0; spin < 4000; ++spin)
-      for (int i = 0; i < 20000; ++i) sink += 1.0 / (1.0 + i);
-    (void)sink;
-  }
-  const prof::Sampler::Profile p = sampler.stop();
-  EXPECT_FALSE(sampler.running());
-  EXPECT_GT(p.ticks, 0u);
-  ASSERT_FALSE(p.entries.empty());
-  std::uint64_t inner_self = 0, outer_total = 0, outer_self = 0;
-  for (const prof::Sampler::Entry& e : p.entries) {
-    EXPECT_GE(e.total, e.self);
-    if (e.phase == "sampler_inner") inner_self = e.self;
-    if (e.phase == "sampler_outer") {
-      outer_total = e.total;
-      outer_self = e.self;
-    }
-  }
-  // The inner phase was open the whole time: all samples land there, and
-  // the outer phase accrues them as total but never as self.
-  EXPECT_GT(inner_self, 0u);
-  EXPECT_GE(outer_total, inner_self);
-  EXPECT_EQ(outer_self, 0u);
-}
-
 // --- pool telemetry --------------------------------------------------------
 
 std::uint64_t total_worker_chunks(const par::PoolTelemetry& t) {
@@ -218,6 +174,7 @@ TEST(PoolTelemetry, DispatchOverheadCounterNonZeroAtWidth4) {
   const par::PoolTelemetry after = par::ThreadPool::global().telemetry();
   EXPECT_EQ(sum.load(), 8 * (511 * 512) / 2);
   EXPECT_EQ(after.jobs - before.jobs, 8u);
+  EXPECT_EQ(after.since(before).jobs, 8u);
   EXPECT_GT(after.dispatch_overhead_ns, before.dispatch_overhead_ns);
   EXPECT_GT(
       obs::Registry::global().counter("par.dispatch_overhead_ns").value(), 0u);
@@ -298,53 +255,7 @@ TEST(WorkerTrace, RouteAtFourThreadsCapturesEveryMergeDecision) {
   obs::set_metrics_enabled(false);
 }
 
-// --- profile report --------------------------------------------------------
-
-TEST(ProfileReport, RoundTripsThroughTheValidator) {
-  obs::set_metrics_enabled(true);
-  obs::Registry::global().reset();
-  obs::Session session;
-  obs::Bind bind(&session);
-  prof::Sampler sampler;
-  prof::Sampler::Options sopts;
-  sopts.interval_us = 200;
-  sampler.start(sopts);
-  {
-    obs::ScopedTimer phase("report_phase");
-    volatile double sink = 0.0;
-    for (int i = 0; i < 4000000; ++i) sink += 1.0 / (1.0 + i);
-    (void)sink;
-  }
-  const prof::Sampler::Profile p = sampler.stop();
-
-  std::ostringstream os;
-  prof::ProfileReportOptions opts;
-  opts.tool = "prof_test";
-  opts.profile = &p;
-  opts.session = &session;
-  opts.hw = prof::hw_info();
-  prof::write_profile_report(os, opts);
-
-  const std::optional<obs::json::Value> doc = obs::json::parse(os.str());
-  ASSERT_TRUE(doc.has_value()) << os.str().substr(0, 200);
-  EXPECT_TRUE(prof::validate_profile_report(*doc).empty());
-
-  // Negative: a wrong schema tag and a missing pool section must both be
-  // reported as problems, not silently accepted.
-  std::string corrupt = os.str();
-  corrupt.replace(corrupt.find("gcr.profile_report"),
-                  std::string("gcr.profile_report").size(), "gcr.bogus");
-  const std::optional<obs::json::Value> bad = obs::json::parse(corrupt);
-  ASSERT_TRUE(bad.has_value());
-  EXPECT_FALSE(prof::validate_profile_report(*bad).empty());
-
-  std::string no_pool = os.str();
-  no_pool.replace(no_pool.find("\"pool\""), 6, "\"loop\"");
-  const std::optional<obs::json::Value> bad2 = obs::json::parse(no_pool);
-  ASSERT_TRUE(bad2.has_value());
-  EXPECT_FALSE(prof::validate_profile_report(*bad2).empty());
-  obs::set_metrics_enabled(false);
-}
+// --- postmortem dump -------------------------------------------------------
 
 TEST(ProfileReport, PostmortemDumpWritesReadableFile) {
   prof::set_recorder_enabled(true);

@@ -5,7 +5,8 @@
 /// stabilizes (perf/runner.h). The heap hook is on by default, so every
 /// result carries allocations/bytes per repetition next to its timing
 /// statistics, and each group writes a `BENCH_<group>.json` v2 sidecar
-/// (perf/report.h) suitable for `gcr_benchdiff`.
+/// (perf/report.h) suitable for `gcr_benchdiff`, including the thread
+/// pool's telemetry over that group.
 ///
 /// Usage:
 ///   gcr_bench [--quick] [--filter SUBSTR] [--out DIR] [--list] [--no-mem]
@@ -18,10 +19,8 @@
 ///   --list       print registered benchmark names and exit
 ///   --no-mem     leave the allocation hook off (timings only)
 ///   --threads N  route_par sweeps widths {1, N} instead of the default set
-///   --profile    also write a `PROF_<group>.json` gcr.profile_report per
-///                group (sampling profiler + hw counters + pool telemetry);
-///                the PROF_ prefix keeps the sidecars out of gcr_benchdiff's
-///                BENCH_*.json directory glob
+///   --profile    attach per-phase hardware counters (prof/hwcounters.h)
+///                to each group's phase tree in BENCH_<group>.json
 
 #include <cmath>
 #include <cstdlib>
@@ -51,13 +50,12 @@
 #include "obs/session.h"
 #include "io/reqs_io.h"
 #include "io/text_io.h"
+#include "par/pool.h"
 #include "perf/memhook.h"
 #include "perf/report.h"
 #include "perf/runner.h"
 #include "serve/service.h"
 #include "prof/hwcounters.h"
-#include "prof/report.h"
-#include "prof/sampler.h"
 #include "tech/params.h"
 
 using namespace gcr;
@@ -508,6 +506,8 @@ void register_serve(Groups& g, bool quick) {
 void usage() {
   std::cerr << "usage: gcr_bench [--quick] [--filter SUBSTR] [--out DIR]"
                " [--list] [--no-mem] [--threads N] [--profile]\n"
+               "  --profile  attach per-phase hw counters to each"
+               " BENCH_<group>.json\n"
                "exit codes: 0 ok, 1 usage/empty filter, 2 i/o error\n";
 }
 
@@ -600,22 +600,14 @@ int main(int argc, char** argv) {
     obs::Session session;
     obs::Bind bind(&session);
 
-    prof::Sampler sampler;
-    prof::HwInfo hw;
-    if (profile) {
-      hw = prof::enable_hw_counters();
-      sampler.start();
-    }
+    if (profile) (void)prof::enable_hw_counters();
+    const par::PoolTelemetry pool_before =
+        par::ThreadPool::global().telemetry();
 
     std::cerr << "== " << group << " ==\n";
     const std::vector<perf::BenchResult> results = runner.run(opts, &std::cerr);
-    if (results.empty()) {
-      if (profile) {
-        (void)sampler.stop();
-        prof::disable_hw_counters();
-      }
-      continue;  // filter matched nothing in this group
-    }
+    if (profile) prof::disable_hw_counters();
+    if (results.empty()) continue;  // filter matched nothing in this group
     perf::print_results(std::cout, results);
 
     const std::string path = out_dir + "/BENCH_" + group + ".json";
@@ -624,27 +616,11 @@ int main(int argc, char** argv) {
       GCR_LOG_ERROR("bench.io").msg("cannot open " + path);
       return 2;
     }
-    perf::write_bench_report(os, group, results, opts, &session);
+    const par::PoolTelemetry pool =
+        par::ThreadPool::global().telemetry().since(pool_before);
+    perf::write_bench_report(os, group, results, opts, &session, &pool);
     std::cout << "wrote " << path << '\n';
     ++written;
-
-    if (profile) {
-      const prof::Sampler::Profile p = sampler.stop();
-      const std::string ppath = out_dir + "/PROF_" + group + ".json";
-      std::ofstream pos(ppath);
-      if (!pos) {
-        GCR_LOG_ERROR("bench.io").msg("cannot open " + ppath);
-        return 2;
-      }
-      prof::ProfileReportOptions po;
-      po.tool = "gcr_bench/" + group;
-      po.profile = &p;
-      po.session = &session;
-      po.hw = hw;
-      prof::write_profile_report(pos, po);
-      prof::disable_hw_counters();
-      std::cout << "wrote " << ppath << '\n';
-    }
   }
   if (written == 0) {
     GCR_LOG_ERROR("bench.empty_filter")

@@ -1,6 +1,7 @@
 /// \file gcr_benchdiff.cpp
 /// Compare two sets of `BENCH_*.json` bench reports (perf/diff.h) or
-/// validate reports against the v2 schema.
+/// validate bench reports (v2) and run reports (obs/report.h) against
+/// their schemas.
 ///
 /// Usage:
 ///   gcr_benchdiff OLD NEW [--threshold 5%] [--noise-mads K] [--report-only]
@@ -27,8 +28,8 @@
 
 #include "log/logger.h"
 #include "obs/json.h"
+#include "obs/report.h"
 #include "perf/diff.h"
-#include "prof/report.h"
 
 namespace fs = std::filesystem;
 using namespace gcr;
@@ -117,17 +118,17 @@ int validate_mode(const std::vector<std::string>& files) {
       ++bad;
       continue;
     }
-    // Dispatch on the document's own "schema" field so bench reports and
-    // gcr.profile_report sidecars ride the same --validate invocation; an
-    // unknown or missing schema falls through to the bench validator, whose
-    // first problem names the schema mismatch.
+    // Dispatch on the document's own "schema" field so bench and run
+    // reports ride the same --validate invocation; an unknown or missing
+    // schema falls through to the bench validator, whose first problem
+    // names the schema mismatch.
     const obs::json::Value* schema =
         doc->is_object() ? doc->find("schema") : nullptr;
-    const bool is_profile = schema && schema->is_string() &&
-                            schema->as_string() == "gcr.profile_report";
+    const bool is_run = schema && schema->is_string() &&
+                        schema->as_string() == "gcr.run_report";
     const std::vector<std::string> problems =
-        is_profile ? prof::validate_profile_report(*doc)
-                   : perf::validate_bench_report(*doc);
+        is_run ? obs::validate_run_report(*doc)
+               : perf::validate_bench_report(*doc);
     if (problems.empty()) {
       // Valid shape; still surface hygiene warnings (a "-dirty" fingerprint
       // means no commit reproduces the numbers -- fine for a local run, a

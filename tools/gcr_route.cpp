@@ -46,8 +46,6 @@
 #include "par/pool.h"
 #include "perf/memhook.h"
 #include "prof/hwcounters.h"
-#include "prof/report.h"
-#include "prof/sampler.h"
 #include "verify/invariants.h"
 
 using namespace gcr;
@@ -68,7 +66,7 @@ struct Args {
   std::string eco;  // .delta file: incremental re-route after the base route
   std::string svg, tree_out, demo_dir;
   bool csv = false;
-  std::string report, trace, profile;
+  std::string report, trace;
   bool verbose = false;
   bool mem_stats = false;
   bool selftest = false;
@@ -101,14 +99,12 @@ void usage() {
          "  --svg FILE                       write layout drawing\n"
          "  --tree FILE                      write routed tree (text format)\n"
          "  --csv                            machine-readable report\n"
-         "  --report FILE                    JSON run report (options, phase\n"
-         "                                   timings, counters, results)\n"
+         "  --report FILE                    gcr.run_report JSON: options, phase\n"
+         "                                   timings with per-phase hw counters,\n"
+         "                                   counters, pool telemetry, results;\n"
+         "                                   on failure dumps FILE.flightrec.json\n"
          "  --trace FILE                     Chrome trace-event JSON (open in\n"
          "                                   chrome://tracing or Perfetto)\n"
-         "  --profile FILE                   gcr.profile_report JSON: sampled\n"
-         "                                   self/total phase profile, per-phase\n"
-         "                                   hw counters, pool telemetry; on\n"
-         "                                   failure dumps FILE.flightrec.json\n"
          "  --verbose                        phase/counter summary to stderr\n"
          "  --mem-stats                      heap bytes per phase + peak RSS\n"
          "                                   to stderr (implies the phase\n"
@@ -174,8 +170,6 @@ std::optional<Args> parse(int argc, char** argv) {
       if (const char* v = next()) a.report = v; else return std::nullopt;
     } else if (flag == "--trace") {
       if (const char* v = next()) a.trace = v; else return std::nullopt;
-    } else if (flag == "--profile") {
-      if (const char* v = next()) a.profile = v; else return std::nullopt;
     } else if (flag == "--verbose") {
       a.verbose = true;
     } else if (flag == "--mem-stats") {
@@ -305,7 +299,7 @@ int main(int argc, char** argv) {
     // Observability: bind a session before the router is constructed so
     // the activity-analysis phase inside the constructor is captured.
     const bool observed = !a.report.empty() || !a.trace.empty() ||
-                          !a.profile.empty() || a.verbose || a.mem_stats;
+                          a.verbose || a.mem_stats;
     if (a.mem_stats) {
       if (perf::memhook::available())
         perf::memhook::enable();  // before any phase runs
@@ -323,14 +317,12 @@ int main(int argc, char** argv) {
       obs::Registry::global().reset();
       bind.emplace(&session);
     }
-    // Profiling starts before the router is constructed for the same reason
-    // the session does: the constructor's activity-analysis phase counts.
-    prof::Sampler sampler;
-    prof::HwInfo hw;
-    if (!a.profile.empty()) {
-      hw = prof::enable_hw_counters();
-      sampler.start();
-      guard::install_postmortem(a.profile + ".flightrec.json");
+    // Hardware counters start before the router is constructed for the
+    // same reason the session does: the constructor's activity-analysis
+    // phase counts.
+    if (!a.report.empty()) {
+      (void)prof::enable_hw_counters();
+      guard::install_postmortem(a.report + ".flightrec.json");
     }
 
     const core::GatedClockRouter router(std::move(design));
@@ -370,9 +362,8 @@ int main(int argc, char** argv) {
       log_scope.telemetry.start({a.telemetry_interval_ms});
     core::RouteOutcome out = router.route_guarded(opts, deadline);
     if (!out.ok()) {
-      if (!a.profile.empty()) {
-        (void)sampler.stop();
-        const std::string fr = a.profile + ".flightrec.json";
+      if (!a.report.empty()) {
+        const std::string fr = a.report + ".flightrec.json";
         if (guard::postmortem_dump(fr))
           out.diag.warning(guard::Code::FlightRecorder,
                            "flight record written to " + fr);
@@ -432,6 +423,7 @@ int main(int argc, char** argv) {
         throw guard::GuardError(
             guard::make_error(guard::Code::Io, "cannot open " + a.report));
       obs::write_run_report(os, opts, r, session);
+      prof::disable_hw_counters();
     }
     if (!a.trace.empty()) {
       std::ofstream os(a.trace);
@@ -439,20 +431,6 @@ int main(int argc, char** argv) {
         throw guard::GuardError(
             guard::make_error(guard::Code::Io, "cannot open " + a.trace));
       trace_sink.write_chrome_json(os);
-    }
-    if (!a.profile.empty()) {
-      const prof::Sampler::Profile p = sampler.stop();
-      std::ofstream os(a.profile);
-      if (!os)
-        throw guard::GuardError(
-            guard::make_error(guard::Code::Io, "cannot open " + a.profile));
-      prof::ProfileReportOptions po;
-      po.tool = "gcr_route";
-      po.profile = &p;
-      po.session = &session;
-      po.hw = hw;
-      prof::write_profile_report(os, po);
-      prof::disable_hw_counters();
     }
     if (a.verbose || a.mem_stats) {
       obs::print_run_summary(std::cerr, session);
