@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <ctime>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -15,6 +14,7 @@
 #include "log/ring.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/report_util.h"
 #include "obs/session.h"
 #include "obs/trace.h"
 #include "par/pool.h"
@@ -45,20 +45,7 @@ std::optional<Level> parse_level(std::string_view s) {
   return std::nullopt;
 }
 
-std::string iso8601_utc_ms(std::int64_t wall_ns) {
-  const std::time_t secs = static_cast<std::time_t>(wall_ns / 1000000000);
-  const int ms = static_cast<int>((wall_ns / 1000000) % 1000);
-  std::tm tm{};
-  gmtime_r(&secs, &tm);
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
-                tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                tm.tm_min, tm.tm_sec, ms);
-  return buf;
-}
-
 std::string render_event_json(const Record& r, const std::string& run_id) {
-  if (r.kind == Record::Kind::Snapshot) return r.data;
   std::string out;
   out.reserve(160 + r.data.size());
   out += "{\"schema\":\"gcr.event\",\"v\":";
@@ -68,7 +55,7 @@ std::string render_event_json(const Record& r, const std::string& run_id) {
   out += ",\"t_ms\":";
   out += obs::json::number(r.t_ms);
   out += ",\"wall\":";
-  out += obs::json::quote(iso8601_utc_ms(r.wall_ns));
+  out += obs::json::quote(obs::utc_timestamp(r.wall_ns, /*millis=*/true));
   out += ",\"level\":";
   out += obs::json::quote(level_name(r.level));
   out += ",\"event\":";
@@ -116,7 +103,6 @@ std::string render_human(const Record& r) {
 // Sinks.
 
 void StderrSink::write(const Record& r, const std::string&) {
-  if (r.kind == Record::Kind::Snapshot) return;
   if (static_cast<int>(r.level) < static_cast<int>(min_level_)) return;
   const std::string line = render_human(r);
   std::fprintf(stderr, "%s\n", line.c_str());
@@ -187,16 +173,10 @@ namespace {
 
 constexpr std::size_t kRingSize = 4096;
 
-std::int64_t wall_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
 std::string derive_run_id() {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%012llx-%04x",
-                static_cast<unsigned long long>(wall_now_ns()) & 0xffffffffffffULL,
+  const auto wall = static_cast<unsigned long long>(obs::wall_now_ns());
+  std::snprintf(buf, sizeof buf, "%012llx-%04x", wall & 0xffffffffffffULL,
                 static_cast<unsigned>(::getpid()) & 0xffff);
   return buf;
 }
@@ -222,7 +202,6 @@ struct Logger::Impl {
   std::atomic<std::uint64_t> dropped{0};
 
   std::vector<std::unique_ptr<Sink>> sinks;
-  StderrSink* stderr_sink{nullptr};  ///< owned by sinks when present
 
   std::thread drain;
   std::mutex drain_mu;
@@ -283,7 +262,6 @@ bool Logger::init(Options opts) {
   im.run_id = im.opts.run_id.empty() ? derive_run_id() : im.opts.run_id;
   im.t0 = std::chrono::steady_clock::now();
   im.sinks.clear();
-  im.stderr_sink = nullptr;
   im.dropped.store(0, std::memory_order_relaxed);
   im.stop = false;
   im.enqueued = 0;
@@ -295,9 +273,7 @@ bool Logger::init(Options opts) {
 
   bool ok = true;
   if (im.opts.stderr_level != Level::Off) {
-    auto s = std::make_unique<StderrSink>(im.opts.stderr_level);
-    im.stderr_sink = s.get();
-    im.sinks.push_back(std::move(s));
+    im.sinks.push_back(std::make_unique<StderrSink>(im.opts.stderr_level));
   }
   if (!im.opts.json_path.empty()) {
     auto f = std::make_unique<FileSink>();
@@ -333,7 +309,7 @@ void Logger::shutdown() {
       r.name = "log.suppressed";
       r.tid = obs::trace_tid();
       r.t_ms = im.now_ms();
-      r.wall_ns = wall_now_ns();
+      r.wall_ns = obs::wall_now_ns();
       r.data = "\"event\":" + obs::json::quote(name) +
                ",\"count\":" + std::to_string(b.suppressed);
       b.suppressed = 0;
@@ -350,7 +326,7 @@ void Logger::shutdown() {
     r.name = "log.dropped";
     r.tid = obs::trace_tid();
     r.t_ms = im.now_ms();
-    r.wall_ns = wall_now_ns();
+    r.wall_ns = obs::wall_now_ns();
     r.data = "\"count\":" + std::to_string(drops);
     if (im.ring.push(std::move(r))) {
       const std::lock_guard<std::mutex> dlk(im.drain_mu);
@@ -366,7 +342,6 @@ void Logger::shutdown() {
   if (im.drain.joinable()) im.drain.join();
   for (const std::unique_ptr<Sink>& s : im.sinks) s->flush();
   im.sinks.clear();
-  im.stderr_sink = nullptr;
   im.running = false;
 }
 
@@ -479,7 +454,7 @@ EventBuilder::EventBuilder(Level level, std::string_view name) {
   rec_.tid = obs::trace_tid();
   rec_.worker = par::worker_ordinal();
   rec_.t_ms = lg.now_ms();
-  rec_.wall_ns = wall_now_ns();
+  rec_.wall_ns = obs::wall_now_ns();
   if (const obs::Session* s = obs::current()) rec_.phase = s->timers().path();
 }
 

@@ -70,8 +70,6 @@ extern int g_runtime_level;
 /// One enqueued event, timestamps and context captured at the call site,
 /// payload pre-rendered (the drain thread only assembles the line).
 struct Record {
-  enum class Kind : std::uint8_t { Event, Snapshot };
-  Kind kind{Kind::Event};
   Level level{Level::Info};
   std::string name;         ///< stable event name ("route.done")
   std::string phase;        ///< open phase path "route/topology" ("" = none)
@@ -79,8 +77,7 @@ struct Record {
   int worker{0};            ///< par::worker_ordinal(); 0 = not a pool worker
   double t_ms{0.0};         ///< monotonic ms since logger init
   std::int64_t wall_ns{0};  ///< wall clock, ns since the Unix epoch
-  std::string data;         ///< rendered `"k":v,...` payload (no braces);
-                            ///< for Kind::Snapshot the complete JSON line
+  std::string data;         ///< rendered `"k":v,...` payload (no braces)
   std::uint64_t suppressed{0};  ///< drops this record amortizes
 };
 
@@ -90,9 +87,6 @@ struct Record {
 /// Human one-liner for the stderr sink: "[  12.3ms] warn  guard.diag ...".
 [[nodiscard]] std::string render_human(const Record& r);
 
-/// ISO-8601 UTC with millisecond precision ("2026-08-09T12:34:56.789Z").
-[[nodiscard]] std::string iso8601_utc_ms(std::int64_t wall_ns);
-
 /// A drain-side consumer. write() runs on the drain thread only.
 class Sink {
  public:
@@ -101,20 +95,18 @@ class Sink {
   virtual void flush() {}
 };
 
-/// Human-readable lines to stderr for records at >= min_level; snapshot
-/// records are machine data and are never printed here.
+/// Human-readable lines to stderr for records at >= min_level.
 class StderrSink final : public Sink {
  public:
   explicit StderrSink(Level min_level) : min_level_(min_level) {}
   void write(const Record& r, const std::string& json_line) override;
   void flush() override;
-  void set_min_level(Level l) { min_level_ = l; }
 
  private:
   Level min_level_;
 };
 
-/// JSONL file sink: one rendered line per record, events and snapshots.
+/// JSONL file sink: one rendered line per record.
 class FileSink final : public Sink {
  public:
   /// False (and a failed open() state) when the path is not writable.

@@ -1,37 +1,57 @@
 #include "log/schema.h"
 
 #include "log/logger.h"
-#include "log/telemetry.h"
+#include "par/pool.h"
 
 namespace gcr::log {
 
 namespace {
 
+using obs::json::has_number;
+using obs::json::has_string;
+using obs::json::require;
 using obs::json::Value;
 
-void require(std::vector<std::string>& problems, bool ok, const char* what) {
-  if (!ok) problems.emplace_back(what);
+/// The `metrics.snapshot` payload (log/telemetry.h).
+void validate_snapshot_data(std::vector<std::string>& problems,
+                            const Value& data) {
+  require(problems, has_number(data, "seq"), "missing seq");
+  require(problems, has_number(data, "interval_ms"), "missing interval_ms");
+  for (const char* key : {"counters", "gauges", "histograms"}) {
+    const Value* section = data.find(key);
+    if (!section || !section->is_object()) {
+      problems.push_back(std::string("missing ") + key + " object");
+      continue;
+    }
+    const bool histograms = std::string_view(key) == "histograms";
+    for (const auto& [name, val] : section->as_object()) {
+      if (!histograms && !val.is_number()) {
+        problems.push_back(std::string(key) + "." + name + " is not a number");
+        break;
+      }
+      if (histograms && !(has_number(val, "count") && has_number(val, "sum"))) {
+        problems.push_back("histograms." + name + " must carry count and sum");
+        break;
+      }
+    }
+  }
+  if (const Value* pool = data.find("pool"))
+    par::validate_pool_json(*pool, problems);
+  else
+    problems.emplace_back("missing pool object");
+  require(problems, has_number(data, "rss_bytes"), "missing rss_bytes");
 }
 
-bool is_string_field(const Value& obj, std::string_view key) {
-  const Value* v = obj.find(key);
-  return v && v->is_string();
-}
+}  // namespace
 
-bool is_number_field(const Value& obj, std::string_view key) {
-  const Value* v = obj.find(key);
-  return v && v->is_number();
-}
-
-void validate_event(std::vector<std::string>& problems, const Value& doc) {
-  const Value* v = doc.find("v");
-  require(problems,
-          v && v->is_number() &&
-              static_cast<int>(v->as_number()) == kEventSchemaVersion,
-          "event v != 1");
-  require(problems, is_string_field(doc, "run"), "missing run id");
-  require(problems, is_number_field(doc, "t_ms"), "missing t_ms");
-  require(problems, is_string_field(doc, "wall"), "missing wall timestamp");
+std::vector<std::string> validate_line(const Value& doc) {
+  std::vector<std::string> problems;
+  if (!obs::json::check_header(problems, doc, "gcr.event", "v",
+                               kEventSchemaVersion))
+    return problems;
+  require(problems, has_string(doc, "run"), "missing run id");
+  require(problems, has_number(doc, "t_ms"), "missing t_ms");
+  require(problems, has_string(doc, "wall"), "missing wall timestamp");
   const Value* level = doc.find("level");
   require(problems,
           level && level->is_string() &&
@@ -42,111 +62,36 @@ void validate_event(std::vector<std::string>& problems, const Value& doc) {
   require(problems,
           event && event->is_string() && !event->as_string().empty(),
           "missing event name");
-  require(problems, is_string_field(doc, "phase"), "missing phase");
-  require(problems, is_number_field(doc, "tid"), "missing tid");
-  require(problems, is_number_field(doc, "worker"), "missing worker");
-  const Value* data = doc.find("data");
-  require(problems, data && data->is_object(), "missing data object");
+  require(problems, has_string(doc, "phase"), "missing phase");
+  require(problems, has_number(doc, "tid"), "missing tid");
+  require(problems, has_number(doc, "worker"), "missing worker");
   const Value* sup = doc.find("suppressed");
   require(problems, sup == nullptr || sup->is_number(),
           "suppressed must be a number");
-}
-
-void validate_snapshot(std::vector<std::string>& problems, const Value& doc) {
-  const Value* v = doc.find("v");
-  require(problems,
-          v && v->is_number() &&
-              static_cast<int>(v->as_number()) == kSnapshotSchemaVersion,
-          "snapshot v != 1");
-  require(problems, is_string_field(doc, "run"), "missing run id");
-  require(problems, is_number_field(doc, "seq"), "missing seq");
-  require(problems, is_number_field(doc, "t_ms"), "missing t_ms");
-  require(problems, is_string_field(doc, "wall"), "missing wall timestamp");
-  require(problems, is_number_field(doc, "interval_ms"),
-          "missing interval_ms");
-  for (const char* key : {"counters", "gauges", "histograms"}) {
-    const Value* section = doc.find(key);
-    if (!section || !section->is_object()) {
-      problems.push_back(std::string("missing ") + key + " object");
-      continue;
-    }
-    if (std::string_view(key) != "histograms") {
-      for (const auto& [name, val] : section->as_object())
-        if (!val.is_number()) {
-          problems.push_back(std::string(key) + "." + name +
-                             " is not a number");
-          break;
-        }
-    } else {
-      for (const auto& [name, val] : section->as_object()) {
-        if (!val.is_object() || !is_number_field(val, "count") ||
-            !is_number_field(val, "sum")) {
-          problems.push_back("histograms." + name +
-                             " must carry count and sum");
-          break;
-        }
-      }
-    }
-  }
-  const Value* pool = doc.find("pool");
-  if (pool && pool->is_object()) {
-    for (const char* key : {"workers", "busy_ns", "idle_ns", "jobs"})
-      if (!is_number_field(*pool, key))
-        problems.push_back(std::string("pool.") + key + " missing");
-  } else {
-    problems.emplace_back("missing pool object");
-  }
-  require(problems, is_number_field(doc, "rss_bytes"), "missing rss_bytes");
-}
-
-}  // namespace
-
-std::vector<std::string> validate_line(const Value& doc) {
-  std::vector<std::string> problems;
-  if (!doc.is_object()) {
-    problems.emplace_back("line is not a JSON object");
-    return problems;
-  }
-  const Value* schema = doc.find("schema");
-  if (!schema || !schema->is_string()) {
-    problems.emplace_back("missing schema field");
-    return problems;
-  }
-  const std::string& s = schema->as_string();
-  if (s == "gcr.event") {
-    validate_event(problems, doc);
-  } else if (s == "gcr.snapshot") {
-    validate_snapshot(problems, doc);
-  } else {
-    problems.push_back("unknown schema \"" + s + "\"");
-  }
+  const Value* data = doc.find("data");
+  if (!data || !data->is_object())
+    problems.emplace_back("missing data object");
+  else if (event && event->is_string() &&
+           event->as_string() == "metrics.snapshot")
+    validate_snapshot_data(problems, *data);
   return problems;
 }
 
 std::optional<LineInfo> parse_line(const Value& doc) {
-  if (!doc.is_object()) return std::nullopt;
   const Value* schema = doc.find("schema");
-  if (!schema || !schema->is_string()) return std::nullopt;
+  if (!schema || !schema->is_string() || schema->as_string() != "gcr.event")
+    return std::nullopt;
   LineInfo info;
   info.t_ms = doc.number_or("t_ms", 0.0);
-  if (schema->as_string() == "gcr.event") {
-    info.kind = LineKind::Event;
-    if (const Value* level = doc.find("level"))
-      if (level->is_string()) info.level = level->as_string();
-    if (const Value* event = doc.find("event"))
-      if (event->is_string()) info.event = event->as_string();
-    if (const Value* phase = doc.find("phase"))
-      if (phase->is_string()) info.phase = phase->as_string();
-    info.suppressed =
-        static_cast<std::uint64_t>(doc.number_or("suppressed", 0.0));
-    return info;
-  }
-  if (schema->as_string() == "gcr.snapshot") {
-    info.kind = LineKind::Snapshot;
-    info.seq = static_cast<std::uint64_t>(doc.number_or("seq", 0.0));
-    return info;
-  }
-  return std::nullopt;
+  if (const Value* level = doc.find("level"))
+    if (level->is_string()) info.level = level->as_string();
+  if (const Value* event = doc.find("event"))
+    if (event->is_string()) info.event = event->as_string();
+  if (const Value* phase = doc.find("phase"))
+    if (phase->is_string()) info.phase = phase->as_string();
+  info.suppressed =
+      static_cast<std::uint64_t>(doc.number_or("suppressed", 0.0));
+  return info;
 }
 
 }  // namespace gcr::log

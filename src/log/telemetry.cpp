@@ -1,21 +1,27 @@
 #include "log/telemetry.h"
 
-#include <atomic>
-#include <cinttypes>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
-#include <ctime>
+#include <cstdlib>
 #include <map>
+#include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
 
-#include "log/logger.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/report_util.h"
+#include "obs/trace.h"
 #include "par/pool.h"
 
 namespace gcr::log {
 
+namespace {
+
+/// Current resident set size in bytes, 0 when /proc is unavailable.
 std::uint64_t current_rss_bytes() {
   std::FILE* f = std::fopen("/proc/self/statm", "r");
   if (f == nullptr) return 0;
@@ -28,92 +34,52 @@ std::uint64_t current_rss_bytes() {
   return resident * static_cast<std::uint64_t>(page > 0 ? page : 4096);
 }
 
-namespace {
-
-void add_us(timespec& ts, long us) {
-  ts.tv_nsec += us * 1000L;
-  while (ts.tv_nsec >= 1000000000L) {
-    ts.tv_nsec -= 1000000000L;
-    ++ts.tv_sec;
-  }
-}
-
-std::int64_t wall_now_ns() {
-  timespec ts{};
-  clock_gettime(CLOCK_REALTIME, &ts);
-  return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
-}
-
 struct HistoPrev {
   std::uint64_t count{0};
   double sum{0.0};
-};
-
-struct PoolPrev {
-  std::uint64_t busy_ns{0};
-  std::uint64_t idle_ns{0};
-  std::uint64_t chunks{0};
 };
 
 }  // namespace
 
 struct TelemetryEmitter::Impl {
   std::thread thread;
-  std::atomic<bool> stop{false};
+  std::mutex mu;
+  std::condition_variable wake;
+  bool stop{false};  ///< guarded by mu
   bool running{false};
   int interval_ms{1000};
   std::uint64_t seq{0};
 
   std::map<std::string, std::uint64_t> prev_counters;
   std::map<std::string, HistoPrev> prev_histograms;
-  PoolPrev prev_pool;
+  par::PoolTelemetry prev_pool;
 
-  /// Render and enqueue one snapshot line through the logger's ring.
+  /// Render one snapshot payload and enqueue it through the logger's ring.
+  /// It bypasses the level floor and the rate limiter: a log that carries
+  /// events carries the metrics too.
   void emit() {
-    Logger& lg = Logger::instance();
-    std::string out;
-    out.reserve(512);
-    out += "{\"schema\":\"gcr.snapshot\",\"v\":";
-    out += std::to_string(kSnapshotSchemaVersion);
-    out += ",\"run\":";
-    out += obs::json::quote(lg.run_id());
-    out += ",\"seq\":";
-    out += std::to_string(++seq);
-    out += ",\"t_ms\":";
-    out += obs::json::number(lg.now_ms());
-    out += ",\"wall\":";
-    out += obs::json::quote(iso8601_utc_ms(wall_now_ns()));
-    out += ",\"interval_ms\":";
-    out += std::to_string(interval_ms);
+    std::ostringstream os;
+    obs::json::Writer w(os);
+    w.begin_object();
+    w.field("seq", ++seq);
+    w.field("interval_ms", interval_ms);
 
     const obs::Registry& reg = obs::Registry::global();
-    out += ",\"counters\":{";
-    bool first = true;
+    w.key("counters").begin_object();
     for (const auto& [name, value] : reg.counters()) {
       std::uint64_t& prev = prev_counters[name];
       if (value == prev) continue;
       // Registry::reset() between runs rewinds counters; restart deltas.
       const std::uint64_t delta = value >= prev ? value - prev : value;
       prev = value;
-      if (delta == 0) continue;
-      if (!first) out += ',';
-      first = false;
-      out += obs::json::quote(name);
-      out += ':';
-      out += std::to_string(delta);
+      if (delta != 0) w.field(name, delta);
     }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, value] : reg.gauges()) {
-      if (value == 0.0) continue;
-      if (!first) out += ',';
-      first = false;
-      out += obs::json::quote(name);
-      out += ':';
-      out += obs::json::number(value);
-    }
-    out += "},\"histograms\":{";
-    first = true;
+    w.end_object();
+    w.key("gauges").begin_object();
+    for (const auto& [name, value] : reg.gauges())
+      if (value != 0.0) w.field(name, value);
+    w.end_object();
+    w.key("histograms").begin_object();
     for (const auto& [name, snap] : reg.histograms()) {
       HistoPrev& prev = prev_histograms[name];
       const std::uint64_t dcount =
@@ -123,59 +89,42 @@ struct TelemetryEmitter::Impl {
       prev.count = snap.count;
       prev.sum = snap.sum;
       if (dcount == 0) continue;
-      if (!first) out += ',';
-      first = false;
-      out += obs::json::quote(name);
-      out += ":{\"count\":";
-      out += std::to_string(dcount);
-      out += ",\"sum\":";
-      out += obs::json::number(dsum);
-      out += '}';
+      w.key(name).begin_object();
+      w.field("count", dcount);
+      w.field("sum", dsum);
+      w.end_object();
     }
-    out += '}';
+    w.end_object();
 
-    const par::PoolTelemetry t = par::ThreadPool::global().telemetry();
-    std::uint64_t busy = 0;
-    std::uint64_t idle = 0;
-    std::uint64_t chunks = 0;
-    for (const par::PoolTelemetry::Worker& w : t.workers) {
-      busy += w.busy_ns;
-      idle += w.idle_ns;
-      chunks += w.chunks;
-    }
-    char pool[192];
-    std::snprintf(pool, sizeof pool,
-                  ",\"pool\":{\"workers\":%zu,\"busy_ns\":%" PRIu64
-                  ",\"idle_ns\":%" PRIu64 ",\"chunks\":%" PRIu64
-                  ",\"jobs\":%" PRIu64 "}",
-                  t.workers.size(), busy - prev_pool.busy_ns,
-                  idle - prev_pool.idle_ns, chunks - prev_pool.chunks,
-                  t.jobs);
-    out += pool;
-    prev_pool = {busy, idle, chunks};
+    const par::PoolTelemetry pool = par::ThreadPool::global().telemetry();
+    par::write_pool_json(w, pool.since(prev_pool));
+    prev_pool = pool;
+    w.field("rss_bytes", current_rss_bytes());
+    w.end_object();
 
-    out += ",\"rss_bytes\":";
-    out += std::to_string(current_rss_bytes());
-    out += '}';
-
+    Logger& lg = Logger::instance();
+    const std::string payload = os.str();
     Record r;
-    r.kind = Record::Kind::Snapshot;
     r.level = Level::Info;
-    r.name = "gcr.snapshot";
+    r.name = "metrics.snapshot";
+    r.tid = obs::trace_tid();
     r.t_ms = lg.now_ms();
-    r.data = std::move(out);
+    r.wall_ns = obs::wall_now_ns();
+    r.data = payload.substr(1, payload.size() - 2);  // the braces go
     lg.enqueue(std::move(r));
   }
 
+  /// Ticks on absolute deadlines (no drift from emit time) and returns
+  /// as soon as stop() is signalled, not at the next tick.
   void loop() {
-    timespec next{};
-    clock_gettime(CLOCK_MONOTONIC, &next);
-    const long interval_us = static_cast<long>(interval_ms) * 1000;
-    while (!stop.load(std::memory_order_acquire)) {
-      add_us(next, interval_us);
-      clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &next, nullptr);
-      if (stop.load(std::memory_order_acquire)) break;
+    auto next = std::chrono::steady_clock::now();
+    std::unique_lock<std::mutex> lk(mu);
+    for (;;) {
+      next += std::chrono::milliseconds(interval_ms);
+      if (wake.wait_until(lk, next, [this] { return stop; })) return;
+      lk.unlock();
       emit();
+      lk.lock();
     }
   }
 };
@@ -189,7 +138,7 @@ TelemetryEmitter::~TelemetryEmitter() {
 void TelemetryEmitter::start(const Options& opts) {
   if (impl_->running) return;
   impl_->interval_ms = opts.interval_ms < 1 ? 1 : opts.interval_ms;
-  impl_->stop.store(false, std::memory_order_release);
+  impl_->stop = false;
   impl_->seq = 0;
   impl_->prev_counters.clear();
   impl_->prev_histograms.clear();
@@ -200,13 +149,40 @@ void TelemetryEmitter::start(const Options& opts) {
 
 std::uint64_t TelemetryEmitter::stop() {
   if (!impl_->running) return impl_->seq;
-  impl_->stop.store(true, std::memory_order_release);
+  {
+    const std::lock_guard<std::mutex> lk(impl_->mu);
+    impl_->stop = true;
+  }
+  impl_->wake.notify_all();
   if (impl_->thread.joinable()) impl_->thread.join();
   impl_->emit();  // the tail delta, so short runs still snapshot once
   impl_->running = false;
   return impl_->seq;
 }
 
-bool TelemetryEmitter::running() const { return impl_->running; }
+CliScope::CliScope(std::string log_json, bool verbose, Level floor) {
+  Options lopts;
+  lopts.level = floor;
+  if (const char* env = std::getenv("GCR_LOG_LEVEL"))
+    if (const auto l = parse_level(env)) lopts.level = *l;
+  if (verbose && lopts.level > Level::Debug) lopts.level = Level::Debug;
+  lopts.stderr_level = verbose ? Level::Debug : Level::Warn;
+  if (log_json.empty())
+    if (const char* env = std::getenv("GCR_LOG")) log_json = env;
+  lopts.json_path = log_json;
+  const bool opened = Logger::instance().init(std::move(lopts));
+  install_guard_bridge();
+  if (!opened) {
+    GCR_LOG_ERROR("cli.log_open_failed").kv("path", log_json);
+  } else if (!log_json.empty()) {
+    telemetry_.start({});
+  }
+}
+
+CliScope::~CliScope() {
+  (void)telemetry_.stop();
+  remove_guard_bridge();
+  Logger::instance().shutdown();
+}
 
 }  // namespace gcr::log

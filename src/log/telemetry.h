@@ -2,26 +2,29 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+
+#include "log/logger.h"
 
 /// \file telemetry.h
-/// Continuous `gcr.snapshot` v1 emission: a dedicated thread ticks on a
-/// drift-free absolute monotonic deadline (clock_nanosleep with
-/// TIMER_ABSTIME) and serializes, per tick,
+/// Continuous metrics telemetry: a dedicated thread ticks on drift-free
+/// absolute steady-clock deadlines and emits, per tick, one ordinary
+/// `gcr.event` v1 record named `metrics.snapshot` whose `data` carries
 ///
+///   * `seq` and `interval_ms`,
 ///   * counter and histogram *deltas* since the previous tick (non-zero
 ///     entries only, so an idle process emits near-empty snapshots),
 ///   * current gauge values (gauges are levels, not rates),
-///   * pool busy/idle/chunk deltas and the cumulative job count,
-///   * current RSS from /proc/self/statm,
+///   * `pool`: the thread pool's delta in the run report's shape
+///     (par::write_pool_json over PoolTelemetry::since),
+///   * `rss_bytes`: current RSS from /proc/self/statm,
 ///
-/// as one JSONL line through the logger's ring, turning the metrics
-/// registry into the time-series a gcr_serve dashboard or an activity
-/// drift detector consumes. A final snapshot is emitted at stop() so the
-/// tail of a run is never lost to tick phase.
+/// through the logger's ring, turning the metrics registry into the
+/// time-series a gcr_serve dashboard or an activity drift detector
+/// consumes. stop() wakes the thread at once and emits a final snapshot,
+/// so the tail of a run is never lost to tick phase.
 
 namespace gcr::log {
-
-inline constexpr int kSnapshotSchemaVersion = 1;
 
 class TelemetryEmitter {
  public:
@@ -42,15 +45,29 @@ class TelemetryEmitter {
   /// running. Returns the number of snapshots emitted.
   std::uint64_t stop();
 
-  [[nodiscard]] bool running() const;
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Current resident set size in bytes (/proc/self/statm), 0 when the
-/// proc interface is unavailable.
-[[nodiscard]] std::uint64_t current_rss_bytes();
+/// The one logger bring-up every command-line tool uses, torn down on
+/// every exit path out of main. The runtime floor is GCR_LOG_LEVEL when
+/// set, else `floor`; `verbose` lowers it and the human stderr floor
+/// (otherwise Warn) to Debug. The JSONL sink is `log_json`, or GCR_LOG
+/// when that is empty; while it is open a TelemetryEmitter runs at the
+/// default 1000 ms cadence, and its tail snapshot at teardown leaves the
+/// final metrics at the end of the log. A JSONL path that cannot be
+/// opened is reported as a `cli.log_open_failed` error event. Also
+/// installs the guard::Diag bridge for the scope's lifetime.
+class CliScope {
+ public:
+  CliScope(std::string log_json, bool verbose, Level floor);
+  ~CliScope();
+  CliScope(const CliScope&) = delete;
+  CliScope& operator=(const CliScope&) = delete;
+
+ private:
+  TelemetryEmitter telemetry_;
+};
 
 }  // namespace gcr::log

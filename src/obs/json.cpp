@@ -470,4 +470,32 @@ bool valid(std::string_view doc) { return Checker(doc).run(); }
 
 std::optional<Value> parse(std::string_view doc) { return Parser(doc).run(); }
 
+void require(std::vector<std::string>& problems, bool ok,
+             std::string_view what) {
+  if (!ok) problems.emplace_back(what);
+}
+
+bool has(const Value& obj, std::string_view key,
+         bool (Value::*is_kind)() const) {
+  const Value* v = obj.find(key);
+  return v && (v->*is_kind)();
+}
+
+bool check_header(std::vector<std::string>& problems, const Value& doc,
+                  std::string_view schema, std::string_view version_key,
+                  int version) {
+  if (!doc.is_object()) {
+    problems.emplace_back("document is not a JSON object");
+    return false;
+  }
+  const Value* s = doc.find("schema");
+  require(problems, s && s->is_string() && s->as_string() == schema,
+          "schema != " + quote(schema));
+  const Value* v = doc.find(version_key);
+  require(problems,
+          v && v->is_number() && static_cast<int>(v->as_number()) == version,
+          std::string(version_key) + " != " + std::to_string(version));
+  return true;
+}
+
 }  // namespace gcr::obs::json

@@ -132,4 +132,31 @@ class Value {
 /// Parse a complete JSON document; std::nullopt on any syntax error.
 [[nodiscard]] std::optional<Value> parse(std::string_view doc);
 
+// Field checks shared by every schema validator (run and bench reports,
+// event lines, the pool section). Each problem is one human-readable
+// string appended to the caller's list; an empty list means valid.
+
+/// Append `what` to `problems` unless `ok`.
+void require(std::vector<std::string>& problems, bool ok,
+             std::string_view what);
+
+/// True when `obj` has member `key` and `(member.*is_kind)()` holds.
+[[nodiscard]] bool has(const Value& obj, std::string_view key,
+                       bool (Value::*is_kind)() const);
+[[nodiscard]] inline bool has_number(const Value& obj, std::string_view key) {
+  return has(obj, key, &Value::is_number);
+}
+[[nodiscard]] inline bool has_string(const Value& obj, std::string_view key) {
+  return has(obj, key, &Value::is_string);
+}
+
+/// The envelope check every validator starts with: `doc` is an object,
+/// its "schema" is `schema` and its `version_key` member equals `version`.
+/// Problems read `schema != "<schema>"` and `<version_key> != <version>`.
+/// Returns false (after "document is not a JSON object") when `doc` is
+/// not an object, so the caller stops there.
+bool check_header(std::vector<std::string>& problems, const Value& doc,
+                  std::string_view schema, std::string_view version_key,
+                  int version);
+
 }  // namespace gcr::obs::json

@@ -98,16 +98,6 @@ void write_hw(json::Writer& w) {
   w.end_array();
 }
 
-void require(std::vector<std::string>& problems, bool ok, const char* what) {
-  if (!ok) problems.emplace_back(what);
-}
-
-bool has(const json::Value& doc, const char* key,
-         bool (json::Value::*is_kind)() const) {
-  const json::Value* v = doc.find(key);
-  return v && (v->*is_kind)();
-}
-
 }  // namespace
 
 void write_run_report(std::ostream& os, const core::RouterOptions& opts,
@@ -132,20 +122,12 @@ void write_run_report(std::ostream& os, const core::RouterOptions& opts,
 }
 
 std::vector<std::string> validate_run_report(const json::Value& doc) {
+  using json::has;
+  using json::require;
   std::vector<std::string> problems;
-  if (!doc.is_object()) {
-    problems.emplace_back("document is not a JSON object");
+  if (!json::check_header(problems, doc, "gcr.run_report", "version",
+                          kReportVersion))
     return problems;
-  }
-  const json::Value* schema = doc.find("schema");
-  require(problems, schema && schema->is_string() &&
-                        schema->as_string() == "gcr.run_report",
-          "schema != \"gcr.run_report\"");
-  const json::Value* version = doc.find("version");
-  require(problems,
-          version && version->is_number() &&
-              static_cast<int>(version->as_number()) == kReportVersion,
-          "version != 2");
   for (const char* key : {"generated", "options", "counters", "gauges",
                           "histograms", "result"})
     if (!has(doc, key, &json::Value::is_object))
@@ -159,7 +141,7 @@ std::vector<std::string> validate_run_report(const json::Value& doc) {
               (hw->as_string() == "perf_event" ||
                hw->as_string() == "unavailable"),
           "hw must be \"perf_event\" or \"unavailable\"");
-  require(problems, has(doc, "hw_source", &json::Value::is_string),
+  require(problems, json::has_string(doc, "hw_source"),
           "missing hw_source string");
   const json::Value* hw_counters = doc.find("hw_counters");
   if (hw_counters && hw_counters->is_array()) {
@@ -181,9 +163,4 @@ std::vector<std::string> validate_run_report(const json::Value& doc) {
     problems.emplace_back("missing pool object");
   return problems;
 }
-
-void print_run_summary(std::ostream& os, const Session& session) {
-  print_session_summary(os, session);
-}
-
 }  // namespace gcr::obs

@@ -46,8 +46,4 @@ void write_run_report(std::ostream& os, const core::RouterOptions& opts,
 [[nodiscard]] std::vector<std::string> validate_run_report(
     const json::Value& doc);
 
-/// Human-readable phase tree + non-zero counters (the CLI's --verbose
-/// output, written to stderr there).
-void print_run_summary(std::ostream& os, const Session& session);
-
 }  // namespace gcr::obs

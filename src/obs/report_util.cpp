@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <ctime>
@@ -148,15 +149,28 @@ void print_session_summary(std::ostream& os, const Session& session) {
   }
 }
 
-std::string utc_timestamp() {
-  const std::time_t now = std::time(nullptr);
+std::int64_t wall_now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
+}
+
+std::string utc_timestamp(std::int64_t wall_ns, bool millis) {
+  const std::time_t secs = static_cast<std::time_t>(wall_ns / 1000000000);
   std::tm tm{};
-  gmtime_r(&now, &tm);
+  gmtime_r(&secs, &tm);
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02dZ",
-                tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                tm.tm_min, tm.tm_sec);
-  return buf;
+  std::string out(buf,
+                  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%S", &tm));
+  if (millis) {
+    const int ms = static_cast<int>(wall_ns / 1000000 % 1000);
+    out += '.';
+    out += static_cast<char>('0' + ms / 100);
+    out += static_cast<char>('0' + ms / 10 % 10);
+    out += static_cast<char>('0' + ms % 10);
+  }
+  out += 'Z';
+  return out;
 }
 
 std::string host_name() {

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <string>
 
 #include "obs/json.h"
 
@@ -29,9 +31,14 @@ void write_metrics(json::Writer& w);
 /// get an `allocs / bytes` column.
 void print_session_summary(std::ostream& os, const Session& session);
 
-/// Current UTC wall-clock as "2026-08-09T12:34:56Z" -- the provenance
-/// stamp every report fingerprint carries for longitudinal tracking.
-[[nodiscard]] std::string utc_timestamp();
+/// Wall clock, nanoseconds since the Unix epoch.
+[[nodiscard]] std::int64_t wall_now_ns();
+
+/// ISO-8601 UTC of `wall_ns`: "2026-08-09T12:34:56Z", or with `millis`
+/// "2026-08-09T12:34:56.789Z". Report fingerprints stamp seconds (the
+/// provenance for longitudinal tracking); event lines stamp milliseconds.
+[[nodiscard]] std::string utc_timestamp(std::int64_t wall_ns = wall_now_ns(),
+                                        bool millis = false);
 
 /// gethostname(), "unknown" when unavailable.
 [[nodiscard]] std::string host_name();

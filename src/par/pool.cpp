@@ -117,13 +117,10 @@ void validate_pool_json(const obs::json::Value& pool,
     problems.emplace_back("pool is not an object");
     return;
   }
-  const auto is_number = [](const obs::json::Value& obj, const char* key) {
-    const obs::json::Value* v = obj.find(key);
-    return v && v->is_number();
-  };
+  using obs::json::has_number;
   for (const char* key : {"jobs", "dispatch_overhead_ns"})
-    if (!is_number(pool, key)) problems.push_back(std::string("pool.") + key +
-                                                  " missing");
+    if (!has_number(pool, key))
+      problems.push_back(std::string("pool.") + key + " missing");
   const obs::json::Value* workers = pool.find("workers");
   if (!workers || !workers->is_array()) {
     problems.emplace_back("missing pool.workers array");
@@ -137,8 +134,8 @@ void validate_pool_json(const obs::json::Value& pool,
       continue;
     }
     for (const char* key : {"busy_ns", "idle_ns", "chunks"})
-      if (!is_number(worker, key)) problems.push_back(at + "." + key +
-                                                      " missing");
+      if (!has_number(worker, key))
+        problems.push_back(at + "." + key + " missing");
   }
 }
 

@@ -11,50 +11,28 @@
 
 namespace gcr::perf {
 
-namespace {
-
+using obs::json::has;
+using obs::json::has_number;
+using obs::json::has_string;
+using obs::json::require;
 using obs::json::Value;
-
-void require(std::vector<std::string>& problems, bool ok, const char* what) {
-  if (!ok) problems.emplace_back(what);
-}
-
-bool is_number_field(const Value& obj, std::string_view key) {
-  const Value* v = obj.find(key);
-  return v && v->is_number();
-}
-
-}  // namespace
 
 std::vector<std::string> validate_bench_report(const Value& doc) {
   std::vector<std::string> problems;
-  if (!doc.is_object()) {
-    problems.emplace_back("document is not a JSON object");
+  if (!obs::json::check_header(problems, doc, "gcr.bench_report", "version",
+                               kBenchReportVersion))
     return problems;
-  }
-  const Value* schema = doc.find("schema");
-  require(problems, schema && schema->is_string() &&
-                        schema->as_string() == "gcr.bench_report",
-          "schema != \"gcr.bench_report\"");
-  const Value* version = doc.find("version");
-  require(problems,
-          version && version->is_number() &&
-              static_cast<int>(version->as_number()) == kBenchReportVersion,
-          "version != 2");
   const Value* bench = doc.find("bench");
   require(problems, bench && bench->is_string() && !bench->as_string().empty(),
           "missing bench name");
-  const Value* quick = doc.find("quick");
-  require(problems, quick && quick->is_bool(), "missing quick flag");
+  require(problems, has(doc, "quick", &Value::is_bool), "missing quick flag");
 
   const Value* fp = doc.find("fingerprint");
   if (fp && fp->is_object()) {
-    for (const char* key : {"git_sha", "compiler", "flags", "build_type", "os"}) {
-      const Value* f = fp->find(key);
-      if (!f || !f->is_string())
+    for (const char* key : {"git_sha", "compiler", "flags", "build_type", "os"})
+      if (!has_string(*fp, key))
         problems.push_back(std::string("fingerprint.") + key +
                            " missing or not a string");
-    }
     // Emission-time stamps arrived after the first baselines were committed:
     // optional, but type-checked when present.
     for (const char* key : {"timestamp_utc", "hostname"}) {
@@ -69,18 +47,17 @@ std::vector<std::string> validate_bench_report(const Value& doc) {
 
   const Value* memory = doc.find("memory");
   if (memory && memory->is_object()) {
-    const Value* he = memory->find("hook_enabled");
-    require(problems, he && he->is_bool(), "memory.hook_enabled missing");
-    require(problems, is_number_field(*memory, "peak_rss_bytes"),
+    require(problems, has(*memory, "hook_enabled", &Value::is_bool),
+            "memory.hook_enabled missing");
+    require(problems, has_number(*memory, "peak_rss_bytes"),
             "memory.peak_rss_bytes missing");
   } else {
     problems.emplace_back("missing memory object");
   }
 
-  const Value* phases = doc.find("phases");
-  require(problems, phases && phases->is_array(), "missing phases array");
-  const Value* counters = doc.find("counters");
-  require(problems, counters && counters->is_object(),
+  require(problems, has(doc, "phases", &Value::is_array),
+          "missing phases array");
+  require(problems, has(doc, "counters", &Value::is_object),
           "missing counters object");
   const Value* histograms = doc.find("histograms");
   if (histograms && histograms->is_object()) {
@@ -90,7 +67,7 @@ std::vector<std::string> validate_bench_report(const Value& doc) {
         continue;
       }
       for (const char* key : {"count", "sum"})
-        if (!is_number_field(h, key))
+        if (!has_number(h, key))
           problems.push_back("histograms." + hname + "." + key + " missing");
       // bucket_scheme is optional (older reports), a string when present.
       const Value* scheme = h.find("bucket_scheme");
@@ -125,19 +102,18 @@ std::vector<std::string> validate_bench_report(const Value& doc) {
     const Value* t = b.find("time_ms");
     if (t && t->is_object()) {
       for (const char* key : {"median", "min", "max", "mean", "p90", "mad"})
-        if (!is_number_field(*t, key))
+        if (!has_number(*t, key))
           problems.push_back(at + ".time_ms." + key + " missing");
     } else {
       problems.push_back(at + ".time_ms missing");
     }
     const Value* m = b.find("memory");
     if (m && m->is_object()) {
-      const Value* measured = m->find("measured");
-      if (!measured || !measured->is_bool())
+      if (!has(*m, "measured", &Value::is_bool))
         problems.push_back(at + ".memory.measured missing");
       for (const char* key :
            {"allocs_per_rep", "bytes_per_rep", "peak_live_bytes"})
-        if (!is_number_field(*m, key))
+        if (!has_number(*m, key))
           problems.push_back(at + ".memory." + key + " missing");
     } else {
       problems.push_back(at + ".memory missing");

@@ -18,8 +18,8 @@
 /// While enabled, the hook also installs an `obs` allocation sampler
 /// (`obs::set_alloc_sampler`), so every `obs::ScopedTimer` phase picks up
 /// `alloc_count` / `alloc_bytes` alongside its milliseconds -- that is how
-/// per-phase memory attribution in `--mem-stats` and the bench reports
-/// works.
+/// per-phase memory attribution in `gcr_route --verbose` and the bench
+/// reports works.
 ///
 /// Byte accounting uses `malloc_usable_size` (glibc), so frees need no
 /// size headers and pointers allocated before enabling are handled

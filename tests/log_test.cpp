@@ -4,7 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,7 +27,8 @@
 /// Unit tests of gcr::log: runtime level filtering, token-bucket rate
 /// limiting with suppression accounting under concurrent pool writers,
 /// JSONL schema round-trips through the shared validator (the same code
-/// `gcr_events --validate` runs), phase/worker context propagation, and
+/// `gcr_events --validate` runs), the `metrics.snapshot` payload checks,
+/// the CLI bring-up (CliScope), phase/worker context propagation, and
 /// the disabled logger's zero-allocation fast path.
 
 namespace gcr {
@@ -54,8 +59,7 @@ std::vector<log::Record> events_named(const log::MemorySink& sink,
                                       const std::string& name) {
   std::vector<log::Record> out;
   for (const log::Record& r : sink.records())
-    if (r.kind == log::Record::Kind::Event && r.name == name)
-      out.push_back(r);
+    if (r.name == name) out.push_back(r);
   return out;
 }
 
@@ -154,13 +158,119 @@ TEST_F(LogTest, EmittedLinesSatisfyTheSharedSchemaValidator) {
         << line << "\nfirst problem: " << problems.front();
     const std::optional<log::LineInfo> info = log::parse_line(*doc);
     ASSERT_TRUE(info.has_value()) << line;
-    if (info->kind == log::LineKind::Event)
-      ++events;
-    else
-      ++snaps;
+    ++events;
+    if (info->event == "metrics.snapshot") ++snaps;
   }
-  EXPECT_GE(events, 2u);
+  EXPECT_EQ(events, snaps + 2);
   EXPECT_EQ(snaps, snapshots);
+}
+
+TEST_F(LogTest, SnapshotValidatorRequiresCountersAndPool) {
+  const log::MemorySink sink = init_with_memory_sink(log::Options{});
+  log::TelemetryEmitter telemetry;
+  telemetry.start({});
+  ASSERT_EQ(telemetry.stop(), 1u);  // the tail snapshot alone
+  log::Logger::instance().flush();
+  const std::vector<std::string> lines = sink.lines();
+  ASSERT_EQ(lines.size(), 1u);
+  const std::string& line = lines.front();
+  ASSERT_TRUE(log::validate_line(*obs::json::parse(line)).empty()) << line;
+
+  // Rename one payload section at a time: each must be reported.
+  for (const std::string section : {"counters", "pool"}) {
+    std::string bad = line;
+    const std::string key = "\"" + section + "\":";
+    ASSERT_NE(bad.find(key), std::string::npos) << line;
+    bad.replace(bad.find(key), key.size(), "\"renamed\":");
+    const std::vector<std::string> problems =
+        log::validate_line(*obs::json::parse(bad));
+    const std::string want = "missing " + section + " object";
+    EXPECT_NE(std::find(problems.begin(), problems.end(), want),
+              problems.end())
+        << bad;
+  }
+}
+
+/// Sets an environment variable for one scope, restoring it after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST_F(LogTest, CliScopeHonoursGcrLogLevel) {
+  const ScopedEnv no_file("GCR_LOG", nullptr);
+  {
+    const ScopedEnv level("GCR_LOG_LEVEL", "error");
+    const log::CliScope scope("", false, log::Level::Info);
+    EXPECT_EQ(log::Logger::instance().runtime_level(), log::Level::Error);
+    EXPECT_FALSE(log::enabled(log::Level::Warn));
+  }
+  EXPECT_FALSE(log::Logger::instance().running());
+  {
+    const ScopedEnv level("GCR_LOG_LEVEL", nullptr);
+    const log::CliScope scope("", false, log::Level::Warn);
+    EXPECT_EQ(log::Logger::instance().runtime_level(), log::Level::Warn);
+  }
+}
+
+TEST_F(LogTest, CliScopeVerboseLowersBothFloorsToDebug) {
+  const ScopedEnv no_file("GCR_LOG", nullptr);
+  const ScopedEnv level("GCR_LOG_LEVEL", "warn");
+  ::testing::internal::CaptureStderr();
+  {
+    const log::CliScope scope("", true, log::Level::Info);
+    EXPECT_EQ(log::Logger::instance().runtime_level(), log::Level::Debug);
+    GCR_LOG_DEBUG("cli.verbose_probe");
+    log::Logger::instance().flush();
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("cli.verbose_probe"), std::string::npos) << err;
+}
+
+TEST_F(LogTest, CliScopeJsonlEndsWithTailSnapshot) {
+  const ScopedEnv level("GCR_LOG_LEVEL", nullptr);
+  const std::string path = ::testing::TempDir() + "log_test_cli.jsonl";
+  {
+    const log::CliScope scope(path, false, log::Level::Info);
+    obs::Registry::global().counter("log_test.cli").inc(3);
+    GCR_LOG_INFO("cli.work").kv("n", 3);
+  }
+  std::ifstream is(path);
+  ASSERT_TRUE(is.good()) << path;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  std::remove(path.c_str());
+  ASSERT_GE(lines.size(), 2u);
+  // The counter's delta lands in one snapshot: the tail one unless a
+  // periodic tick fired in between.
+  double delta = 0.0;
+  for (const std::string& line : lines) {
+    const std::optional<obs::json::Value> doc = obs::json::parse(line);
+    ASSERT_TRUE(doc.has_value()) << line;
+    EXPECT_TRUE(log::validate_line(*doc).empty()) << line;
+    if (doc->find("event")->as_string() == "metrics.snapshot")
+      delta += doc->find("data")->find("counters")->number_or("log_test.cli",
+                                                               0.0);
+  }
+  EXPECT_EQ(delta, 3.0);
+  const obs::json::Value tail = *obs::json::parse(lines.back());
+  EXPECT_EQ(tail.find("event")->as_string(), "metrics.snapshot");
 }
 
 TEST_F(LogTest, EventsCarryPhasePathAndWorkerOrdinal) {

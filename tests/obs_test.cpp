@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "obs/report_util.h"
 #include "obs/session.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
@@ -75,6 +77,31 @@ TEST(ObsJson, NumberHandlesNonFinite) {
   EXPECT_EQ(obs::json::number(0.0), "0");
   EXPECT_EQ(obs::json::number(1.0 / 0.0), "null");
   EXPECT_EQ(obs::json::number(0.0 / 0.0), "null");
+}
+
+TEST(ObsJson, HeaderCheckNamesSchemaAndVersion) {
+  std::vector<std::string> problems;
+  EXPECT_FALSE(obs::json::check_header(problems, obs::json::Value(1.0),
+                                       "gcr.x", "v", 1));
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0], "document is not a JSON object");
+
+  problems.clear();
+  const auto doc = obs::json::parse(R"({"schema":"gcr.y","v":2})");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_TRUE(obs::json::check_header(problems, *doc, "gcr.x", "v", 1));
+  EXPECT_EQ(problems,
+            (std::vector<std::string>{"schema != \"gcr.x\"", "v != 1"}));
+}
+
+TEST(ObsReportUtil, UtcTimestampFormatsSecondsAndMilliseconds) {
+  // 2026-08-09T12:34:56.789Z as nanoseconds since the Unix epoch.
+  const std::int64_t ns = 1786278896LL * 1000000000LL + 789000000LL;
+  EXPECT_EQ(obs::utc_timestamp(ns), "2026-08-09T12:34:56Z");
+  EXPECT_EQ(obs::utc_timestamp(ns, /*millis=*/true),
+            "2026-08-09T12:34:56.789Z");
+  EXPECT_EQ(obs::utc_timestamp(1786278896LL * 1000000000LL + 7000000LL, true),
+            "2026-08-09T12:34:56.007Z");
 }
 
 TEST_F(ObsTest, CounterAggregatesAcrossThreads) {

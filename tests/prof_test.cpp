@@ -141,7 +141,7 @@ TEST(HwCounters, EnvKnobForcesRusageFallback) {
   {
     obs::ScopedTimer phase("hw_fallback_phase");
     volatile double sink = 0.0;
-    for (int i = 0; i < 2000000; ++i) sink += 1.0 / (1.0 + i);
+    for (int i = 0; i < 2000000; ++i) sink = sink + 1.0 / (1.0 + i);
     (void)sink;
   }
   const obs::PhaseStats& root = session.timers().root();

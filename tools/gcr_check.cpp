@@ -54,6 +54,7 @@
 #include "io/text_io.h"
 #include "io/tree_io.h"
 #include "log/logger.h"
+#include "log/telemetry.h"
 #include "verify/differential.h"
 #include "verify/generator.h"
 #include "verify/invariants.h"
@@ -80,7 +81,6 @@ struct Args {
   bool clustered = false;
   int threads = 0;
   std::string log_json;   // JSONL event log ("" = GCR_LOG env or none)
-  std::string log_level;  // runtime floor ("" = GCR_LOG_LEVEL env or info)
 };
 
 void usage() {
@@ -100,8 +100,8 @@ void usage() {
          "  --threads N                      topology-build worker threads\n"
          "  --skew-bound PS                  skew budget (0 = exact)\n"
          "  --log-json FILE                  structured gcr.event JSONL log\n"
-         "                                   (also via GCR_LOG=FILE)\n"
-         "  --log-level L                    trace|debug|info|warn|error|off\n"
+         "                                   (also via GCR_LOG=FILE;\n"
+         "                                   GCR_LOG_LEVEL sets the floor)\n"
          "exit codes: 0 ok, 1 usage, 2 invalid input, 3 resource/deadline,\n"
          "            4 internal error or invariant violation\n";
 }
@@ -159,8 +159,6 @@ std::optional<Args> parse(int argc, char** argv) {
       else return std::nullopt;
     } else if (flag == "--log-json") {
       if (const char* v = next()) a.log_json = v; else return std::nullopt;
-    } else if (flag == "--log-level") {
-      if (const char* v = next()) a.log_level = v; else return std::nullopt;
     } else {
       std::cerr << "unknown flag: " << flag << '\n';
       return std::nullopt;
@@ -168,39 +166,6 @@ std::optional<Args> parse(int argc, char** argv) {
   }
   return a;
 }
-
-/// CLI logger bring-up (same contract as gcr_route): flags override the
-/// GCR_LOG / GCR_LOG_LEVEL environment; `debug` lowers both the runtime
-/// floor and the human stderr floor so per-design verify.* events show.
-bool init_cli_logger(const std::string& log_json, const std::string& log_level,
-                     bool debug) {
-  gcr::log::Options lopts;
-  std::string level = log_level;
-  if (level.empty())
-    if (const char* env = std::getenv("GCR_LOG_LEVEL")) level = env;
-  if (!level.empty()) {
-    if (const auto l = gcr::log::parse_level(level)) lopts.level = *l;
-  }
-  if (debug && static_cast<int>(lopts.level) >
-                   static_cast<int>(gcr::log::Level::Debug))
-    lopts.level = gcr::log::Level::Debug;
-  lopts.stderr_level =
-      debug ? gcr::log::Level::Debug : gcr::log::Level::Warn;
-  lopts.json_path = log_json;
-  if (lopts.json_path.empty())
-    if (const char* env = std::getenv("GCR_LOG")) lopts.json_path = env;
-  const bool ok = gcr::log::Logger::instance().init(std::move(lopts));
-  gcr::log::install_guard_bridge();
-  return ok;
-}
-
-/// Drains and closes the logger on every exit path out of main.
-struct LogScope {
-  ~LogScope() {
-    gcr::log::remove_guard_bridge();
-    gcr::log::Logger::instance().shutdown();
-  }
-};
 
 int report_diff(const verify::DiffStats& stats, bool replayed) {
   std::cout << "designs " << stats.designs << ", routes " << stats.routes
@@ -506,10 +471,7 @@ int main(int argc, char** argv) {
   // Replay is an interactive diagnosis loop: per-design debug events are
   // the whole point, so it gets the verbose floor automatically.
   const bool debug_floor = a.verbose || !a.replay.empty();
-  LogScope log_scope;
-  if (!init_cli_logger(a.log_json, a.log_level, debug_floor)) {
-    GCR_LOG_ERROR("cli.log_open_failed").kv("path", a.log_json);
-  }
+  const log::CliScope log_scope(a.log_json, debug_floor, log::Level::Info);
   try {
     if (a.faults) return run_faults_mode(a.seed, a.verbose);
     if (!a.tree_file.empty()) return run_tree_mode(a);

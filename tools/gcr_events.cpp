@@ -1,20 +1,21 @@
 /// \file gcr_events.cpp
 /// Consumer for the structured JSONL logs gcr tools emit with --log-json /
-/// GCR_LOG: filter, validate and summarize `gcr.event` / `gcr.snapshot`
-/// lines (src/log/schema.h, docs/observability.md).
+/// GCR_LOG: filter, validate and summarize `gcr.event` lines, including the
+/// periodic `metrics.snapshot` events (src/log/schema.h,
+/// docs/observability.md).
 ///
 /// Usage:
 ///   gcr_events [FILE|-] [--level L] [--event SUBSTR] [--phase SUBSTR]
 ///              [--validate] [--summary]
 ///
 ///   FILE          JSONL log ("-" or no positional = stdin)
-///   --level L     keep events at level L or above (snapshots always pass)
+///   --level L     keep events at level L or above
 ///   --event S     keep events whose name contains S
 ///   --phase S     keep lines whose phase path contains S
-///   --validate    check every line against the v1 schemas; exit 2 on any
+///   --validate    check every line against the v1 schema; exit 2 on any
 ///                 violation (malformed log = invalid input)
-///   --summary     per-event-name counts, level totals, suppression and
-///                 drop accounting, snapshot count and time span
+///   --summary     per-event-name counts (metrics.snapshot included), level
+///                 totals, suppression accounting and time span
 ///
 /// Default output is the matching lines verbatim (so invocations pipe).
 /// With --validate or --summary alone, lines are consumed silently.
@@ -50,9 +51,9 @@ void usage() {
   std::cerr
       << "usage: gcr_events [FILE|-] [--level L] [--event SUBSTR]\n"
          "                  [--phase SUBSTR] [--validate] [--summary]\n"
-         "FILE is a gcr.event/gcr.snapshot JSONL log (gcr_route --log-json,\n"
-         "GCR_LOG=...); no FILE or \"-\" reads stdin. Matching lines print\n"
-         "verbatim unless only --validate/--summary are requested.\n"
+         "FILE is a gcr.event JSONL log (gcr_route --log-json, GCR_LOG=...);\n"
+         "no FILE or \"-\" reads stdin. Matching lines print verbatim unless\n"
+         "only --validate/--summary are requested.\n"
          "exit codes: 0 ok, 1 usage, 2 unreadable input or invalid line\n";
 }
 
@@ -94,9 +95,7 @@ std::optional<Args> parse(int argc, char** argv) {
 
 /// Aggregates for --summary, fed line by line.
 struct Summary {
-  std::uint64_t lines = 0;
   std::uint64_t events = 0;
-  std::uint64_t snapshots = 0;
   std::uint64_t suppressed = 0;  // emissions amortized onto kept records
   double first_ms = 0.0;
   double last_ms = 0.0;
@@ -104,22 +103,16 @@ struct Summary {
   std::map<std::string, std::uint64_t> by_level;
 
   void add(const log::LineInfo& info) {
-    if (lines == 0) first_ms = info.t_ms;
-    ++lines;
-    last_ms = info.t_ms;
-    if (info.kind == log::LineKind::Snapshot) {
-      ++snapshots;
-      return;
-    }
+    if (events == 0) first_ms = info.t_ms;
     ++events;
+    last_ms = info.t_ms;
     ++by_event[info.event];
     ++by_level[info.level];
     suppressed += info.suppressed;
   }
 
   void print(std::ostream& os) const {
-    os << lines << " line(s): " << events << " event(s), " << snapshots
-       << " snapshot(s), span " << (last_ms - first_ms) << " ms\n";
+    os << events << " event(s), span " << (last_ms - first_ms) << " ms\n";
     if (!by_level.empty()) {
       os << "by level:\n";
       for (const auto& [level, n] : by_level)
@@ -195,15 +188,13 @@ int main(int argc, char** argv) {
       continue;
     }
 
-    if (info->kind == log::LineKind::Event) {
-      if (a.level) {
-        const std::optional<log::Level> l = log::parse_level(info->level);
-        if (!l || static_cast<int>(*l) < static_cast<int>(*a.level)) continue;
-      }
-      if (!a.event_substr.empty() &&
-          info->event.find(a.event_substr) == std::string::npos)
-        continue;
+    if (a.level) {
+      const std::optional<log::Level> l = log::parse_level(info->level);
+      if (!l || *l < *a.level) continue;
     }
+    if (!a.event_substr.empty() &&
+        info->event.find(a.event_substr) == std::string::npos)
+      continue;
     if (!a.phase_substr.empty() &&
         info->phase.find(a.phase_substr) == std::string::npos)
       continue;

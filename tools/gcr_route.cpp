@@ -8,6 +8,7 @@
 ///             [--strength s | --auto-tune] [--svg out.svg]
 ///             [--tree out.tree] [--csv]
 ///             [--report out.json] [--trace out.trace.json] [--verbose]
+///             [--log-json out.jsonl]
 ///
 /// Input formats are the library's text formats (see io/text_io.h); use
 /// `gcr_route --demo <dir>` to emit a ready-to-route example design.
@@ -41,6 +42,7 @@
 #include "log/telemetry.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "obs/report_util.h"
 #include "obs/session.h"
 #include "obs/trace.h"
 #include "par/pool.h"
@@ -68,12 +70,9 @@ struct Args {
   bool csv = false;
   std::string report, trace;
   bool verbose = false;
-  bool mem_stats = false;
   bool selftest = false;
   long deadline_ms = -1;  // < 0 = unlimited; 0 = expire immediately
   std::string log_json;   // JSONL event log ("" = GCR_LOG env or none)
-  std::string log_level;  // runtime floor ("" = GCR_LOG_LEVEL env or info)
-  int telemetry_interval_ms = 0;  // 0 = no periodic snapshots
 };
 
 void usage() {
@@ -106,21 +105,19 @@ void usage() {
          "  --trace FILE                     Chrome trace-event JSON (open in\n"
          "                                   chrome://tracing or Perfetto)\n"
          "  --verbose                        phase/counter summary to stderr\n"
-         "  --mem-stats                      heap bytes per phase + peak RSS\n"
-         "                                   to stderr (implies the phase\n"
-         "                                   summary; counts every new/delete)\n"
+         "                                   with heap bytes per phase, heap\n"
+         "                                   totals and peak RSS (counts every\n"
+         "                                   new/delete), plus debug events\n"
          "  --deadline-ms MS                 abort the route when the wall-clock\n"
          "                                   budget expires: prints the phases\n"
          "                                   that completed and exits 3\n"
          "  --selftest                       re-derive all paper invariants on\n"
          "                                   the result; exit 4 on violation\n"
-         "  --log-json FILE                  structured gcr.event JSONL log\n"
-         "                                   (also via GCR_LOG=FILE)\n"
-         "  --log-level L                    trace|debug|info|warn|error|off\n"
-         "                                   runtime floor (GCR_LOG_LEVEL env;\n"
-         "                                   default info)\n"
-         "  --telemetry-interval-ms MS       periodic gcr.snapshot telemetry\n"
-         "                                   lines in the JSONL log\n"
+         "  --log-json FILE                  structured gcr.event JSONL log with\n"
+         "                                   a metrics.snapshot event each\n"
+         "                                   second and at exit (also via\n"
+         "                                   GCR_LOG=FILE; GCR_LOG_LEVEL sets\n"
+         "                                   the floor, default info)\n"
          "exit codes: 0 ok, 1 usage, 2 invalid input, 3 deadline/resource,\n"
          "            4 internal error or selftest violation\n";
 }
@@ -172,18 +169,12 @@ std::optional<Args> parse(int argc, char** argv) {
       if (const char* v = next()) a.trace = v; else return std::nullopt;
     } else if (flag == "--verbose") {
       a.verbose = true;
-    } else if (flag == "--mem-stats") {
-      a.mem_stats = true;
     } else if (flag == "--selftest") {
       a.selftest = true;
     } else if (flag == "--deadline-ms") {
       if (const char* v = next()) a.deadline_ms = std::atol(v); else return std::nullopt;
     } else if (flag == "--log-json") {
       if (const char* v = next()) a.log_json = v; else return std::nullopt;
-    } else if (flag == "--log-level") {
-      if (const char* v = next()) a.log_level = v; else return std::nullopt;
-    } else if (flag == "--telemetry-interval-ms") {
-      if (const char* v = next()) a.telemetry_interval_ms = std::atoi(v); else return std::nullopt;
     } else {
       std::cerr << "unknown flag: " << flag << '\n';
       return std::nullopt;
@@ -191,42 +182,6 @@ std::optional<Args> parse(int argc, char** argv) {
   }
   return a;
 }
-
-/// CLI logger bring-up: flags override the GCR_LOG / GCR_LOG_LEVEL
-/// environment; --verbose lowers both the runtime floor and the human
-/// stderr floor to debug. Returns false when the JSONL path could not be
-/// opened (the logger still runs with the remaining sinks).
-bool init_cli_logger(const std::string& log_json, const std::string& log_level,
-                     bool verbose) {
-  gcr::log::Options lopts;
-  std::string level = log_level;
-  if (level.empty())
-    if (const char* env = std::getenv("GCR_LOG_LEVEL")) level = env;
-  if (!level.empty()) {
-    if (const auto l = gcr::log::parse_level(level)) lopts.level = *l;
-  }
-  if (verbose && static_cast<int>(lopts.level) >
-                     static_cast<int>(gcr::log::Level::Debug))
-    lopts.level = gcr::log::Level::Debug;
-  lopts.stderr_level =
-      verbose ? gcr::log::Level::Debug : gcr::log::Level::Warn;
-  lopts.json_path = log_json;
-  if (lopts.json_path.empty())
-    if (const char* env = std::getenv("GCR_LOG")) lopts.json_path = env;
-  const bool ok = gcr::log::Logger::instance().init(std::move(lopts));
-  gcr::log::install_guard_bridge();
-  return ok;
-}
-
-/// Drains and closes the logger on every exit path out of main.
-struct LogScope {
-  gcr::log::TelemetryEmitter telemetry;
-  ~LogScope() {
-    if (telemetry.running()) (void)telemetry.stop();
-    gcr::log::remove_guard_bridge();
-    gcr::log::Logger::instance().shutdown();
-  }
-};
 
 int write_demo(const std::string& dir) {
   benchdata::RBenchSpec spec{"demo", 64, 10000.0, 0.005, 0.06, 11};
@@ -266,10 +221,7 @@ int main(int argc, char** argv) {
     return guard::kExitUsage;
   }
 
-  LogScope log_scope;
-  if (!init_cli_logger(a.log_json, a.log_level, a.verbose)) {
-    GCR_LOG_ERROR("cli.log_open_failed").kv("path", a.log_json);
-  }
+  const log::CliScope log_scope(a.log_json, a.verbose, log::Level::Info);
 
   try {
     guard::Diag diag;
@@ -298,14 +250,14 @@ int main(int argc, char** argv) {
 
     // Observability: bind a session before the router is constructed so
     // the activity-analysis phase inside the constructor is captured.
-    const bool observed = !a.report.empty() || !a.trace.empty() ||
-                          a.verbose || a.mem_stats;
-    if (a.mem_stats) {
+    const bool observed =
+        !a.report.empty() || !a.trace.empty() || a.verbose;
+    if (a.verbose) {
       if (perf::memhook::available())
         perf::memhook::enable();  // before any phase runs
       else
         GCR_LOG_WARN("route.memhook_unavailable")
-            .msg("--mem-stats: allocation hook unavailable on this "
+            .msg("--verbose: allocation hook unavailable on this "
                  "platform; reporting peak RSS only");
     }
     obs::Session session;
@@ -358,8 +310,6 @@ int main(int argc, char** argv) {
         a.deadline_ms >= 0
             ? guard::Deadline::after_ms(static_cast<double>(a.deadline_ms))
             : guard::Deadline();
-    if (a.telemetry_interval_ms > 0)
-      log_scope.telemetry.start({a.telemetry_interval_ms});
     core::RouteOutcome out = router.route_guarded(opts, deadline);
     if (!out.ok()) {
       if (!a.report.empty()) {
@@ -432,14 +382,12 @@ int main(int argc, char** argv) {
             guard::make_error(guard::Code::Io, "cannot open " + a.trace));
       trace_sink.write_chrome_json(os);
     }
-    if (a.verbose || a.mem_stats) {
-      obs::print_run_summary(std::cerr, session);
+    if (a.verbose) {
+      obs::print_session_summary(std::cerr, session);
       const int width = a.threads > 0 ? a.threads : par::default_threads();
       if (width > 1)
         par::write_pool_summary(std::cerr,
                                 par::ThreadPool::global().telemetry());
-    }
-    if (a.mem_stats) {
       const perf::memhook::Stats m = perf::memhook::stats();
       char line[160];
       if (perf::memhook::available()) {

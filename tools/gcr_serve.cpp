@@ -37,6 +37,7 @@
 #include "io/reqs_io.h"
 #include "io/tree_io.h"
 #include "log/logger.h"
+#include "log/telemetry.h"
 #include "serve/service.h"
 
 using namespace gcr;
@@ -62,7 +63,6 @@ struct Args {
   double fault_prob = 0.0;  // 0 with --faults = nth-visit mode, nth = seed
   int race = 0;             // > 0: N extra submitter threads, full batch each
   std::string log_json;
-  std::string log_level;
   bool verbose = false;
 };
 
@@ -96,9 +96,10 @@ void usage() {
          "  --race N             N extra threads each submit the full batch\n"
          "                       concurrently (admission stress; extra\n"
          "                       copies count toward shed/served totals)\n"
-         "  --log-json FILE      structured gcr.event JSONL log\n"
-         "  --log-level L        trace|debug|info|warn|error|off\n"
-         "  --verbose            event mirror on stderr\n"
+         "  --log-json FILE      structured gcr.event JSONL log with\n"
+         "                       periodic metrics.snapshot events (also\n"
+         "                       via GCR_LOG; GCR_LOG_LEVEL sets the floor)\n"
+         "  --verbose            debug-level event mirror on stderr\n"
          "exit codes: 0 ok, 1 usage, 2 invalid input, 3 shed/deadline,\n"
          "            4 internal error\n";
 }
@@ -138,8 +139,6 @@ std::optional<Args> parse(int argc, char** argv) {
       if (const char* v = next()) a.race = std::atoi(v); else return std::nullopt;
     } else if (flag == "--log-json") {
       if (const char* v = next()) a.log_json = v; else return std::nullopt;
-    } else if (flag == "--log-level") {
-      if (const char* v = next()) a.log_level = v; else return std::nullopt;
     } else if (flag == "--verbose") {
       a.verbose = true;
     } else {
@@ -149,33 +148,6 @@ std::optional<Args> parse(int argc, char** argv) {
   }
   return a;
 }
-
-bool init_cli_logger(const std::string& log_json, const std::string& log_level,
-                     bool verbose) {
-  log::Options lopts;
-  std::string level = log_level;
-  if (level.empty())
-    if (const char* env = std::getenv("GCR_LOG_LEVEL")) level = env;
-  if (!level.empty())
-    if (const auto l = log::parse_level(level)) lopts.level = *l;
-  if (verbose &&
-      static_cast<int>(lopts.level) > static_cast<int>(log::Level::Debug))
-    lopts.level = log::Level::Debug;
-  lopts.stderr_level = verbose ? log::Level::Debug : log::Level::Warn;
-  lopts.json_path = log_json;
-  if (lopts.json_path.empty())
-    if (const char* env = std::getenv("GCR_LOG")) lopts.json_path = env;
-  const bool ok = log::Logger::instance().init(std::move(lopts));
-  log::install_guard_bridge();
-  return ok;
-}
-
-struct LogScope {
-  ~LogScope() {
-    log::remove_guard_bridge();
-    log::Logger::instance().shutdown();
-  }
-};
 
 struct DisarmOnExit {
   ~DisarmOnExit() { guard::FaultInjector::global().disarm(); }
@@ -212,10 +184,7 @@ int main(int argc, char** argv) {
     return guard::kExitUsage;
   }
 
-  LogScope log_scope;
-  if (!init_cli_logger(a.log_json, a.log_level, a.verbose)) {
-    GCR_LOG_ERROR("cli.log_open_failed").kv("path", a.log_json);
-  }
+  const log::CliScope log_scope(a.log_json, a.verbose, log::Level::Info);
 
   // Parse the batch before anything is armed or spawned: a malformed
   // batch is a submission error (exit 2), not a serving failure.
