@@ -3,8 +3,11 @@
 ///   * signal-probability queries: O(K) with the bit-packed tables
 ///     (paper: O(KL) over the raw tables),
 ///   * transition-probability queries: O(K^2) worst case,
-///   * full construction: O(B + K^2 N^2) -- quadratic in the sink count,
-///     linear in the stream length.
+///   * full construction: the paper's bound is O(B + K^2 N^2), linear in
+///     the stream length. The N^2 is the exhaustive rescan's; the indexed
+///     greedy (cts/partner_index.h) grows about N^1.3 in the sink count
+///     (gcr_bench's `scale` group fits a log-log slope of 1.28-1.30 up to
+///     100k sinks), so the fits below sit well under 2.
 
 #include <iostream>
 #include <memory>

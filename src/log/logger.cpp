@@ -104,6 +104,7 @@ std::string render_human(const Record& r) {
 
 void StderrSink::write(const Record& r, const std::string&) {
   if (static_cast<int>(r.level) < static_cast<int>(min_level_)) return;
+  if (r.name == "metrics.snapshot") return;
   const std::string line = render_human(r);
   std::fprintf(stderr, "%s\n", line.c_str());
 }

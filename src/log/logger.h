@@ -95,7 +95,9 @@ class Sink {
   virtual void flush() {}
 };
 
-/// Human-readable lines to stderr for records at >= min_level.
+/// Human-readable lines to stderr for records at >= min_level, except
+/// `metrics.snapshot` records: their payload is a machine time-series
+/// (log/telemetry.h) that only the JSONL file carries.
 class StderrSink final : public Sink {
  public:
   explicit StderrSink(Level min_level) : min_level_(min_level) {}

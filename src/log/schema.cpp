@@ -1,7 +1,6 @@
 #include "log/schema.h"
 
 #include "log/logger.h"
-#include "par/pool.h"
 
 namespace gcr::log {
 
@@ -35,10 +34,6 @@ void validate_snapshot_data(std::vector<std::string>& problems,
       }
     }
   }
-  if (const Value* pool = data.find("pool"))
-    par::validate_pool_json(*pool, problems);
-  else
-    problems.emplace_back("missing pool object");
   require(problems, has_number(data, "rss_bytes"), "missing rss_bytes");
 }
 

@@ -15,7 +15,6 @@
 #include "obs/metrics.h"
 #include "obs/report_util.h"
 #include "obs/trace.h"
-#include "par/pool.h"
 
 namespace gcr::log {
 
@@ -52,7 +51,6 @@ struct TelemetryEmitter::Impl {
 
   std::map<std::string, std::uint64_t> prev_counters;
   std::map<std::string, HistoPrev> prev_histograms;
-  par::PoolTelemetry prev_pool;
 
   /// Render one snapshot payload and enqueue it through the logger's ring.
   /// It bypasses the level floor and the rate limiter: a log that carries
@@ -96,9 +94,6 @@ struct TelemetryEmitter::Impl {
     }
     w.end_object();
 
-    const par::PoolTelemetry pool = par::ThreadPool::global().telemetry();
-    par::write_pool_json(w, pool.since(prev_pool));
-    prev_pool = pool;
     w.field("rss_bytes", current_rss_bytes());
     w.end_object();
 
@@ -142,7 +137,6 @@ void TelemetryEmitter::start(const Options& opts) {
   impl_->seq = 0;
   impl_->prev_counters.clear();
   impl_->prev_histograms.clear();
-  impl_->prev_pool = {};
   impl_->thread = std::thread([this] { impl_->loop(); });
   impl_->running = true;
 }

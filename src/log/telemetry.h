@@ -15,8 +15,6 @@
 ///   * counter and histogram *deltas* since the previous tick (non-zero
 ///     entries only, so an idle process emits near-empty snapshots),
 ///   * current gauge values (gauges are levels, not rates),
-///   * `pool`: the thread pool's delta in the run report's shape
-///     (par::write_pool_json over PoolTelemetry::since),
 ///   * `rss_bytes`: current RSS from /proc/self/statm,
 ///
 /// through the logger's ring, turning the metrics registry into the

@@ -327,11 +327,13 @@ class Parser {
     return out;
   }
 
+  /// Returns build the Value in place: a temporary moved into the optional
+  /// makes gcc 12 -O2 warn -Wmaybe-uninitialized about the variant.
   std::optional<Value> object() {
     eat('{');
     Value::Object obj;
     skip_ws();
-    if (eat('}')) return Value(std::move(obj));
+    if (eat('}')) return std::optional<Value>(std::in_place, std::move(obj));
     while (true) {
       skip_ws();
       std::optional<std::string> k = string();
@@ -343,7 +345,7 @@ class Parser {
       if (!v) return std::nullopt;
       obj.insert_or_assign(std::move(*k), std::move(*v));
       skip_ws();
-      if (eat('}')) return Value(std::move(obj));
+      if (eat('}')) return std::optional<Value>(std::in_place, std::move(obj));
       if (!eat(',')) return std::nullopt;
     }
   }

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "obs/report_util.h"
-#include "par/pool.h"
 #include "prof/hwcounters.h"
 
 namespace gcr::obs {
@@ -115,7 +114,6 @@ void write_run_report(std::ostream& os, const core::RouterOptions& opts,
   write_phase_forest(w, session);
   write_metrics(w);
   write_hw(w);
-  par::write_pool_json(w, par::ThreadPool::global().telemetry());
   write_result(w, result);
   w.end_object();
   os << '\n';
@@ -156,11 +154,6 @@ std::vector<std::string> validate_run_report(const json::Value& doc) {
   } else {
     problems.emplace_back("missing hw_counters array");
   }
-
-  if (const json::Value* pool = doc.find("pool"))
-    par::validate_pool_json(*pool, problems);
-  else
-    problems.emplace_back("missing pool object");
   return problems;
 }
 }  // namespace gcr::obs

@@ -10,18 +10,20 @@
 
 /// \file report.h
 /// Versioned JSON run reports: one document per routing run carrying the
-/// options, the phase-timing tree, every metric in the global registry,
-/// the hardware-counter source, the thread pool's telemetry and the final
-/// switched-capacitance / delay numbers.
-/// Schema: `{"schema": "gcr.run_report", "version": 2, ...}` -- bump
+/// options, the phase-timing tree, every metric in the global registry
+/// (pool work included, as the `par.*` counters), the hardware-counter
+/// source and the final switched-capacitance / delay numbers.
+/// Schema: `{"schema": "gcr.run_report", "version": 3, ...}` -- bump
 /// `kReportVersion` on breaking layout changes and note it in
 /// docs/observability.md.
 ///
 /// Version 2 added `hw` ("perf_event" | "unavailable"), `hw_source` and
-/// `hw_counters` (the four slot names of the per-phase `"hw"` objects),
-/// and the `pool` section (par/pool.h). `"hw": "unavailable"` is the
-/// explicit fallback marker: the slots then hold rusage deltas, or nothing
-/// when counters were never enabled (`hw_source` "none"), not PMU counts.
+/// `hw_counters` (the four slot names of the per-phase `"hw"` objects).
+/// `"hw": "unavailable"` is the explicit fallback marker: the slots then
+/// hold rusage deltas, or nothing when counters were never enabled
+/// (`hw_source` "none"), not PMU counts. Version 3 dropped version 2's
+/// `pool` section: its job and overhead totals repeated the `par.jobs` and
+/// `par.dispatch_overhead_ns` counters, and chunk time is `par.busy_ns`.
 ///
 /// Bench reports (`gcr.bench_report`, now at v2 with statistics and memory
 /// sections) moved to `perf/report.h`: they are produced by the
@@ -34,7 +36,7 @@
 
 namespace gcr::obs {
 
-inline constexpr int kReportVersion = 2;
+inline constexpr int kReportVersion = 3;
 
 /// Full run report for one routed design.
 void write_run_report(std::ostream& os, const core::RouterOptions& opts,

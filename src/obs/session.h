@@ -43,8 +43,8 @@ class Session {
   /// of a job, so trace events emitted inside worker chunks land in the
   /// run's sink with timestamps on the parent's axis instead of being
   /// silently dropped. Worker-side ScopedTimers aggregate into the view
-  /// and are discarded with it -- per-worker *time* attribution is the
-  /// pool telemetry's job (par::PoolTelemetry), not the phase tree's.
+  /// and are discarded with it -- pool *time* attribution is the
+  /// `par.busy_ns` counter's job, not the phase tree's.
   struct WorkerViewTag {};
   Session(WorkerViewTag, const Session& parent)
       : epoch_(parent.epoch_), trace_(parent.trace_) {}

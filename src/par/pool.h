@@ -5,10 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,12 +21,11 @@
 ///   1. Work is split into chunks whose boundaries depend only on the
 ///      range and the grain, never on the number of threads. Threads race
 ///      for whole chunks; they never subdivide or steal partial chunks.
-///   2. `parallel_reduce` stores one partial result per chunk and combines
-///      them serially in ascending chunk order after the barrier, so
-///      floating-point reduction order is fixed.
+///   2. Chunks write disjoint state, so no result depends on which chunk
+///      finished first.
 ///
 /// Scheduling therefore only changes *which thread* runs a chunk, never
-/// what the chunk computes or how results are folded.
+/// what the chunk computes.
 ///
 /// The pool is a fixed set of workers created once (`ThreadPool::global()`)
 /// and parked on a condition variable between jobs; a construct's `width`
@@ -41,55 +37,7 @@ namespace gcr::obs {
 class Session;
 }  // namespace gcr::obs
 
-namespace gcr::obs::json {
-class Value;
-class Writer;
-}  // namespace gcr::obs::json
-
 namespace gcr::par {
-
-/// Cumulative pool telemetry since process start (the global pool lives for
-/// the process). All times are monotonic-clock nanoseconds.
-///
-///   * worker `busy_ns`   -- time spent inside run_job (chunk execution);
-///   * worker `idle_ns`   -- time parked on the work condition variable;
-///   * `dispatch_overhead_ns` -- per job, the caller's wall time for the
-///     whole construct minus the caller lane's own busy time: wakeup
-///     latency, lock traffic and straggler wait. This is the number that
-///     makes the route_par t>1 regression explainable -- when it rivals
-///     the busy time, the shards are too small for the dispatch cost.
-///
-/// The same overhead also feeds the `par.dispatch_overhead_ns` counter
-/// (plus `par.jobs` and a `par.chunks_per_job` histogram) when metrics are
-/// enabled, so run and bench reports capture it per run.
-struct PoolTelemetry {
-  struct Worker {
-    std::uint64_t busy_ns{0};
-    std::uint64_t idle_ns{0};
-    std::uint64_t chunks{0};
-  };
-  std::vector<Worker> workers;
-  std::uint64_t jobs{0};  ///< parallel dispatches (serial fallbacks excluded)
-  std::uint64_t dispatch_overhead_ns{0};
-
-  /// What accrued since `before`, an earlier snapshot of the same pool
-  /// (a bench group's share of the process-lifetime totals).
-  [[nodiscard]] PoolTelemetry since(const PoolTelemetry& before) const;
-};
-
-/// One-line human summary: "pool: 7 workers, busy 12.3%, dispatch overhead
-/// 4.2 ms over 812 jobs". The --verbose CLI path appends this when running
-/// with more than one thread.
-void write_pool_summary(std::ostream& os, const PoolTelemetry& t);
-
-/// `"pool": {"workers": [{busy_ns, idle_ns, chunks} ...], "jobs",
-/// "dispatch_overhead_ns"}` -- the section run and bench reports share.
-void write_pool_json(obs::json::Writer& w, const PoolTelemetry& t);
-
-/// Shape-check a parsed `pool` section, appending one problem per
-/// violation to `problems`.
-void validate_pool_json(const obs::json::Value& pool,
-                        std::vector<std::string>& problems);
 
 /// std::thread::hardware_concurrency() clamped to >= 1, cached.
 [[nodiscard]] int hardware_threads();
@@ -134,30 +82,26 @@ class ThreadPool {
   /// request lanes do): constructs serialize in arrival order on an
   /// internal dispatch lock, so each job owns the worker set exclusively
   /// -- latecomers block, they never corrupt a live job's chunk state.
+  ///
+  /// While metrics are enabled, each parallel dispatch (serial fallbacks
+  /// excluded) feeds three registry counters, all monotonic nanoseconds:
+  ///   * `par.jobs` -- one per dispatch;
+  ///   * `par.busy_ns` -- chunk execution time summed over every lane that
+  ///     ran chunks, the caller included;
+  ///   * `par.dispatch_overhead_ns` -- the caller's wall time for the whole
+  ///     construct minus its own chunk time: wakeup latency, lock traffic
+  ///     and straggler wait. When it rivals `par.busy_ns`, the shards are
+  ///     too small for the dispatch cost.
+  /// With metrics off the pool reads no clock.
   void run_chunks(int width, std::int64_t num_chunks,
                   const std::function<void(std::int64_t)>& job);
 
-  /// Snapshot of the cumulative telemetry (workers sized num_threads - 1).
-  [[nodiscard]] PoolTelemetry telemetry() const;
-
  private:
-  /// Per-worker telemetry slots, cache-line separated so hot-loop bumps on
-  /// one worker never false-share with another.
-  struct alignas(64) WorkerStats {
-    std::atomic<std::uint64_t> busy_ns{0};
-    std::atomic<std::uint64_t> idle_ns{0};
-    std::atomic<std::uint64_t> chunks{0};
-  };
-
   void worker_loop(std::size_t index);
-  void run_job(const std::function<void(std::int64_t)>& job, std::int64_t total,
-               WorkerStats* stats);
+  void run_job(const std::function<void(std::int64_t)>& job, std::int64_t total);
 
   int num_threads_;
   std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<WorkerStats>> worker_stats_;
-  std::atomic<std::uint64_t> jobs_{0};
-  std::atomic<std::uint64_t> dispatch_ns_{0};
 
   std::mutex dispatch_mu_;  ///< held for a whole construct; serializes jobs
   std::mutex mu_;
@@ -170,6 +114,9 @@ class ThreadPool {
   /// workers bind a Session worker view of it around run_job so their trace
   /// events reach the run's sink instead of vanishing (obs/session.h).
   obs::Session* job_session_{nullptr};
+  /// Whether the current job feeds the `par.*` counters; latched by the
+  /// caller so workers never read the process-wide metrics switch.
+  bool job_metered_{false};
   std::int64_t total_chunks_{0};
   std::atomic<std::int64_t> next_chunk_{0};
   std::atomic<std::int64_t> done_chunks_{0};
@@ -215,31 +162,6 @@ void parallel_for(int width, std::int64_t begin, std::int64_t end,
     body(b, std::min(end, b + grain));
   };
   ThreadPool::global().run_chunks(width, chunks, job);
-}
-
-/// Deterministic index-ordered reduction: map(b, e) produces one partial
-/// value per chunk (chunk boundaries fixed by `grain` alone); partials are
-/// folded serially in ascending chunk order as acc = combine(acc, partial).
-/// Identical results at every width because neither the chunking nor the
-/// fold order ever depends on the thread count.
-template <typename T, typename MapChunk, typename Combine>
-[[nodiscard]] T parallel_reduce(int width, std::int64_t begin,
-                                std::int64_t end, std::int64_t grain, T init,
-                                MapChunk&& map, Combine&& combine) {
-  grain = std::max<std::int64_t>(1, grain);
-  const std::int64_t chunks = detail::chunk_count(end - begin, grain);
-  if (chunks == 0) return init;
-  detail::observe_shards(end - begin, grain, chunks);
-  std::vector<T> partial(static_cast<std::size_t>(chunks), init);
-  const std::function<void(std::int64_t)> job = [&](std::int64_t c) {
-    const std::int64_t b = begin + c * grain;
-    partial[static_cast<std::size_t>(c)] = map(b, std::min(end, b + grain));
-  };
-  ThreadPool::global().run_chunks(width, chunks, job);
-  T acc = std::move(init);
-  for (std::int64_t c = 0; c < chunks; ++c)
-    acc = combine(std::move(acc), std::move(partial[static_cast<std::size_t>(c)]));
-  return acc;
 }
 
 }  // namespace gcr::par

@@ -6,7 +6,6 @@
 #include <ostream>
 #include <set>
 
-#include "par/pool.h"
 #include "perf/report.h"
 
 namespace gcr::perf {
@@ -76,11 +75,6 @@ std::vector<std::string> validate_bench_report(const Value& doc) {
                            ".bucket_scheme is not a string");
     }
   }
-  // The pool section arrived after the first v2 baselines were committed:
-  // optional, but shape-checked when present.
-  if (const Value* pool = doc.find("pool"))
-    par::validate_pool_json(*pool, problems);
-
   const Value* benchmarks = doc.find("benchmarks");
   if (!benchmarks || !benchmarks->is_array()) {
     problems.emplace_back("missing benchmarks array");

@@ -21,9 +21,8 @@
 ///   * `memory`: process-level hook state and peak RSS,
 ///   * the v1 phase tree and metrics snapshot, unchanged (phases now carry
 ///     `alloc_count`/`alloc_bytes` when the hook attributed heap traffic,
-///     and an `hw` object when hardware counters were attached),
-///   * `pool`: the thread pool's telemetry over the run (par/pool.h),
-///     optional so reports written before it existed stay valid.
+///     and an `hw` object when hardware counters were attached; pool
+///     work is the `par.*` counters like any other metric).
 ///
 /// Readers: `perf/diff.h` (schema validation + regression diffing) and
 /// anything that can parse JSON. Bump `kBenchReportVersion` on breaking
@@ -32,10 +31,6 @@
 namespace gcr::obs {
 class Session;
 }  // namespace gcr::obs
-
-namespace gcr::par {
-struct PoolTelemetry;
-}  // namespace gcr::par
 
 namespace gcr::perf {
 
@@ -61,11 +56,9 @@ struct Fingerprint {
 
 /// Write one complete bench report. `session` may be null (no phase tree
 /// was collected); the metrics snapshot is global and always included.
-/// `pool` is the pool telemetry accrued over the run (omitted when null).
 void write_bench_report(std::ostream& os, std::string_view bench_name,
                         const std::vector<BenchResult>& results,
                         const RunnerOptions& opts,
-                        const obs::Session* session,
-                        const par::PoolTelemetry* pool = nullptr);
+                        const obs::Session* session);
 
 }  // namespace gcr::perf

@@ -2,8 +2,8 @@
 /// Tests for the regression-diffing side of gcr::perf: verdict
 /// classification (the relative / MAD / absolute-floor triple gate),
 /// whole-report diffing including one-sided benchmarks, and the failure
-/// modes of the loader/validator on malformed documents (the optional
-/// pool section included).
+/// modes of the loader/validator on malformed documents, and the
+/// retired pool section of older reports.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <string>
 
 #include "obs/json.h"
-#include "par/pool.h"
 #include "perf/diff.h"
 #include "perf/report.h"
 #include "perf/runner.h"
@@ -217,34 +216,26 @@ TEST(BenchDiff, ValidatorFlagsBadBenchmarkEntries) {
   EXPECT_NE(problems.front().find("time_ms"), std::string::npos);
 }
 
-TEST(BenchDiff, PoolSectionIsOptionalButChecked) {
-  perf::BenchResult r;
-  r.name = "unit/work";
-  r.time_ms = perf::summarize({1.0, 1.1, 1.2});
-  par::PoolTelemetry pool;
-  pool.workers.resize(2);
-  pool.jobs = 3;
-  std::ostringstream os;
-  perf::write_bench_report(os, "unit", {r}, perf::RunnerOptions{}, nullptr,
-                           &pool);
-  std::string text = os.str();
-  const auto doc = obs::json::parse(text);
-  ASSERT_TRUE(doc.has_value());
+TEST(BenchDiff, RetiredPoolSectionIsIgnored) {
+  // Pool work is the `par.*` counters now; the writer emits no section.
+  const std::string text = valid_report_text();
+  EXPECT_EQ(text.find("\"pool\""), std::string::npos);
+  // Reports from before the counters carry a `pool` object; they stay
+  // valid and loadable so their rows can still be diffed.
+  std::string old = text;
+  const auto end = old.rfind('}');
+  ASSERT_NE(end, std::string::npos);
+  old.insert(end,
+             ",\"pool\":{\"workers\":[{\"busy_ns\":5,\"idle_ns\":7,"
+             "\"chunks\":1}],\"jobs\":3,\"dispatch_overhead_ns\":9}");
+  const auto doc = obs::json::parse(old);
+  ASSERT_TRUE(doc.has_value()) << old;
+  ASSERT_NE(doc->find("pool"), nullptr);
   EXPECT_TRUE(perf::validate_bench_report(*doc).empty());
-  // Reports written without the section (older baselines) stay valid.
-  const auto bare = obs::json::parse(valid_report_text());
-  ASSERT_TRUE(bare.has_value());
-  EXPECT_EQ(bare->find("pool"), nullptr);
-  EXPECT_TRUE(perf::validate_bench_report(*bare).empty());
-
-  const auto pos = text.find("\"chunks\"");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 8, "\"chonks\"");
-  const auto bad = obs::json::parse(text);
-  ASSERT_TRUE(bad.has_value());
-  const auto problems = perf::validate_bench_report(*bad);
-  ASSERT_FALSE(problems.empty());
-  EXPECT_NE(problems.front().find("pool.workers[0].chunks"), std::string::npos);
+  std::string error;
+  const auto loaded = perf::load_bench_report(old, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->benchmarks.count("unit/work"), 1u);
 }
 
 }  // namespace

@@ -165,7 +165,7 @@ TEST_F(LogTest, EmittedLinesSatisfyTheSharedSchemaValidator) {
   EXPECT_EQ(snaps, snapshots);
 }
 
-TEST_F(LogTest, SnapshotValidatorRequiresCountersAndPool) {
+TEST_F(LogTest, SnapshotValidatorRequiresEveryMetricsSection) {
   const log::MemorySink sink = init_with_memory_sink(log::Options{});
   log::TelemetryEmitter telemetry;
   telemetry.start({});
@@ -175,9 +175,11 @@ TEST_F(LogTest, SnapshotValidatorRequiresCountersAndPool) {
   ASSERT_EQ(lines.size(), 1u);
   const std::string& line = lines.front();
   ASSERT_TRUE(log::validate_line(*obs::json::parse(line)).empty()) << line;
+  // Pool work travels as `par.*` counters; there is no separate section.
+  EXPECT_EQ(line.find("\"pool\""), std::string::npos) << line;
 
   // Rename one payload section at a time: each must be reported.
-  for (const std::string section : {"counters", "pool"}) {
+  for (const std::string section : {"counters", "gauges", "histograms"}) {
     std::string bad = line;
     const std::string key = "\"" + section + "\":";
     ASSERT_NE(bad.find(key), std::string::npos) << line;
@@ -189,6 +191,24 @@ TEST_F(LogTest, SnapshotValidatorRequiresCountersAndPool) {
               problems.end())
         << bad;
   }
+}
+
+TEST_F(LogTest, StderrMirrorLeavesSnapshotsToTheJsonlFile) {
+  log::Record event;
+  event.level = log::Level::Info;
+  event.name = "route.done";
+  log::Record snapshot = event;
+  snapshot.name = "metrics.snapshot";
+  snapshot.data = "\"seq\":1,\"counters\":{\"cts.merges\":63}";
+  log::StderrSink mirror(log::Level::Debug);
+  testing::internal::CaptureStderr();
+  mirror.write(snapshot, log::render_event_json(snapshot, "run"));
+  mirror.write(event, log::render_event_json(event, "run"));
+  mirror.flush();
+  const std::string out = testing::internal::GetCapturedStderr();
+  EXPECT_NE(out.find("route.done"), std::string::npos) << out;
+  EXPECT_EQ(out.find("metrics.snapshot"), std::string::npos) << out;
+  EXPECT_EQ(out.find("cts.merges"), std::string::npos) << out;
 }
 
 /// Sets an environment variable for one scope, restoring it after.

@@ -267,10 +267,11 @@ TEST_F(ObsTest, RunReportRoundTripsThroughTheValidator) {
   EXPECT_EQ(doc->find("version")->as_number(), obs::kReportVersion);
   const std::string hw = doc->find("hw")->as_string();
   EXPECT_TRUE(hw == "perf_event" || hw == "unavailable") << hw;
-  EXPECT_FALSE(doc->find("pool")->find("workers")->as_array().empty());
+  // Pool work is the `par.*` counters; v3 has no pool section.
+  EXPECT_EQ(doc->find("pool"), nullptr);
 
-  // A wrong schema tag and a missing pool section must each be reported,
-  // not silently accepted.
+  // A wrong schema tag and an older version must each be reported, not
+  // silently accepted.
   std::string bogus = text;
   bogus.replace(bogus.find("gcr.run_report"),
                 std::string("gcr.run_report").size(), "gcr.bogus");
@@ -278,11 +279,16 @@ TEST_F(ObsTest, RunReportRoundTripsThroughTheValidator) {
   ASSERT_TRUE(bad.has_value());
   EXPECT_FALSE(obs::validate_run_report(*bad).empty());
 
-  std::string no_pool = text;
-  no_pool.replace(no_pool.find("\"pool\""), 6, "\"loop\"");
-  const std::optional<obs::json::Value> bad2 = obs::json::parse(no_pool);
-  ASSERT_TRUE(bad2.has_value());
-  EXPECT_FALSE(obs::validate_run_report(*bad2).empty());
+  std::string v2 = text;
+  const std::string version = "\"version\":" + std::to_string(obs::kReportVersion);
+  ASSERT_NE(v2.find(version), std::string::npos) << text.substr(0, 200);
+  v2.replace(v2.find(version), version.size(), "\"version\":2");
+  const std::optional<obs::json::Value> old = obs::json::parse(v2);
+  ASSERT_TRUE(old.has_value());
+  const std::vector<std::string> old_problems = obs::validate_run_report(*old);
+  ASSERT_FALSE(old_problems.empty());
+  EXPECT_NE(old_problems.front().find("version"), std::string::npos)
+      << old_problems.front();
 }
 
 TEST_F(ObsTest, DisabledMetricsStayZeroThroughHelperPattern) {

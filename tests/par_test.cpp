@@ -56,28 +56,6 @@ TEST(Par, ParallelForEmptyAndOffsetRanges) {
   EXPECT_EQ(sum.load(), (100 + 199) * 100 / 2);
 }
 
-TEST(Par, ParallelReduceIsBitIdenticalAcrossWidths) {
-  // Floating-point sum whose value depends on association order: if the
-  // fold order ever varied with the width, some width would disagree.
-  constexpr int kN = 20000;
-  const auto run = [&](int width) {
-    return par::parallel_reduce(
-        width, 0, kN, /*grain=*/13, 0.0,
-        [](std::int64_t b, std::int64_t e) {
-          double s = 0.0;
-          for (std::int64_t i = b; i < e; ++i)
-            s += 1.0 / (1.0 + static_cast<double>(i) * 1.618033988749895);
-          return s;
-        },
-        [](double x, double y) { return x + y; });
-  };
-  const double serial = run(1);
-  for (const int width : {2, 4, 8}) {
-    const double wide = run(width);
-    EXPECT_EQ(serial, wide) << "width=" << width;  // bit-identical, not near
-  }
-}
-
 TEST(Par, NestedConstructsSerializeWithoutDeadlock) {
   std::atomic<int> inner_total{0};
   par::parallel_for(4, 0, 8, 1, [&](std::int64_t b, std::int64_t e) {
@@ -95,7 +73,7 @@ TEST(Par, NestedConstructsSerializeWithoutDeadlock) {
 // Concurrent *callers* (the gcr::serve request lanes) each dispatching
 // their own parallel constructs must serialize on the pool's dispatch
 // lock instead of corrupting each other's chunk state: every caller's
-// reduction must come back exact.
+// sum must come back exact.
 TEST(Par, ConcurrentCallersEachGetCorrectResults) {
   constexpr int kCallers = 4;
   constexpr std::int64_t kN = 4000;
@@ -105,15 +83,13 @@ TEST(Par, ConcurrentCallersEachGetCorrectResults) {
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&sums, t] {
       for (int rep = 0; rep < 20; ++rep) {
-        const std::int64_t s = par::parallel_reduce<std::int64_t>(
-            4, 0, kN, 64, 0,
-            [](std::int64_t b, std::int64_t e) {
-              std::int64_t acc = 0;
-              for (std::int64_t i = b; i < e; ++i) acc += i;
-              return acc;
-            },
-            [](std::int64_t a, std::int64_t b) { return a + b; });
-        sums[static_cast<std::size_t>(t)] = s;
+        std::atomic<std::int64_t> s{0};
+        par::parallel_for(4, 0, kN, 64, [&s](std::int64_t b, std::int64_t e) {
+          std::int64_t acc = 0;
+          for (std::int64_t i = b; i < e; ++i) acc += i;
+          s.fetch_add(acc);
+        });
+        sums[static_cast<std::size_t>(t)] = s.load();
       }
     });
   }

@@ -154,41 +154,56 @@ TEST(HwCounters, EnvKnobForcesRusageFallback) {
   unsetenv("GCR_PROF_NO_HW");
 }
 
-// --- pool telemetry --------------------------------------------------------
+// --- pool work in the metrics registry -------------------------------------
 
-std::uint64_t total_worker_chunks(const par::PoolTelemetry& t) {
+std::uint64_t par_counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+/// Sum of every registered `par.*` counter.
+std::uint64_t par_counters_total() {
   std::uint64_t n = 0;
-  for (const par::PoolTelemetry::Worker& w : t.workers) n += w.chunks;
+  for (const auto& [name, value] : obs::Registry::global().counters())
+    if (name.rfind("par.", 0) == 0) n += value;
   return n;
 }
 
-TEST(PoolTelemetry, DispatchOverheadCounterNonZeroAtWidth4) {
-  obs::set_metrics_enabled(true);
-  obs::Registry::global().reset();
-  const par::PoolTelemetry before = par::ThreadPool::global().telemetry();
+void eight_jobs(int width) {
   std::atomic<std::int64_t> sum{0};
   for (int round = 0; round < 8; ++round)
-    par::parallel_for(4, 0, 512, 4, [&](std::int64_t b, std::int64_t e) {
+    par::parallel_for(width, 0, 512, 4, [&](std::int64_t b, std::int64_t e) {
       for (std::int64_t i = b; i < e; ++i) sum.fetch_add(i);
     });
-  const par::PoolTelemetry after = par::ThreadPool::global().telemetry();
   EXPECT_EQ(sum.load(), 8 * (511 * 512) / 2);
-  EXPECT_EQ(after.jobs - before.jobs, 8u);
-  EXPECT_EQ(after.since(before).jobs, 8u);
-  EXPECT_GT(after.dispatch_overhead_ns, before.dispatch_overhead_ns);
-  EXPECT_GT(
-      obs::Registry::global().counter("par.dispatch_overhead_ns").value(), 0u);
-  EXPECT_EQ(obs::Registry::global().counter("par.jobs").value(), 8u);
-  EXPECT_FALSE(after.workers.empty());
-  // Worker pickup needs chunks slow enough that the caller lane cannot
-  // drain the queue before a worker wakes; the cheap jobs above routinely
-  // finish caller-only on a loaded box.
+}
+
+TEST(PoolMetrics, RegistryCountsJobsBusyAndOverheadAtWidth4) {
+  obs::set_metrics_enabled(true);
+  obs::Registry::global().reset();
+  eight_jobs(4);
+  EXPECT_EQ(par_counter("par.jobs"), 8u);
+  EXPECT_GT(par_counter("par.busy_ns"), 0u);
+  EXPECT_GT(par_counter("par.dispatch_overhead_ns"), 0u);
+
+  // Busy time sums every lane's chunks: 32 chunks that each sleep 1 ms
+  // add at least 32 ms whichever lanes ran them.
+  const std::uint64_t busy_before = par_counter("par.busy_ns");
   par::parallel_for(4, 0, 32, 1, [](std::int64_t, std::int64_t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   });
-  const par::PoolTelemetry slow = par::ThreadPool::global().telemetry();
-  EXPECT_GT(total_worker_chunks(slow), total_worker_chunks(before));
+  EXPECT_EQ(par_counter("par.jobs"), 9u);
+  EXPECT_GE(par_counter("par.busy_ns") - busy_before, 32'000'000u);
   obs::set_metrics_enabled(false);
+}
+
+TEST(PoolMetrics, SerialFallbackAndDisabledMetricsMoveNoCounter) {
+  obs::set_metrics_enabled(true);
+  obs::Registry::global().reset();
+  eight_jobs(1);
+  EXPECT_EQ(par_counters_total(), 0u);
+  obs::set_metrics_enabled(false);
+  eight_jobs(4);
+  EXPECT_EQ(par_counters_total(), 0u);
 }
 
 // --- worker-thread observability (the PR's regression test) ----------------

@@ -5,8 +5,8 @@
 /// stabilizes (perf/runner.h). The heap hook is on by default, so every
 /// result carries allocations/bytes per repetition next to its timing
 /// statistics, and each group writes a `BENCH_<group>.json` v2 sidecar
-/// (perf/report.h) suitable for `gcr_benchdiff`, including the thread
-/// pool's telemetry over that group.
+/// (perf/report.h) suitable for `gcr_benchdiff`, whose counters include
+/// the thread pool's `par.*` work over that group.
 ///
 /// Usage:
 ///   gcr_bench [--quick] [--filter SUBSTR] [--out DIR] [--list] [--no-mem]
@@ -51,7 +51,6 @@
 #include "obs/session.h"
 #include "io/reqs_io.h"
 #include "io/text_io.h"
-#include "par/pool.h"
 #include "perf/memhook.h"
 #include "perf/report.h"
 #include "perf/runner.h"
@@ -310,8 +309,9 @@ void register_route(Groups& g, bool quick) {
 
 void register_route_par(Groups& g, bool quick, int threads_override) {
   // Routed gated (no reduction pass, so the timed section is dominated by
-  // the Eq. 3 greedy); the thread sweep makes the scaling visible in one
-  // sidecar. The routed tree is identical at every width -- only the time
+  // the Eq. 3 greedy, which grows about N^1.3 with the partner index, not
+  // N^2: the `scale` group's fitted slope is 1.28-1.30); the thread sweep
+  // makes the width scaling visible in one sidecar. The routed tree is identical at every width -- only the time
   // may differ. The flat build's only sharded construct is the indexed
   // engine's initial best-partner pass (64 queries per chunk), so the
   // rows mostly pin that t>1 costs no more than t=1; the n=16384 rows are
@@ -584,8 +584,6 @@ int main(int argc, char** argv) {
     obs::Bind bind(&session);
 
     if (profile) (void)prof::enable_hw_counters();
-    const par::PoolTelemetry pool_before =
-        par::ThreadPool::global().telemetry();
 
     std::cerr << "== " << group << " ==\n";
     const std::vector<perf::BenchResult> results = runner.run(opts, &std::cerr);
@@ -599,9 +597,7 @@ int main(int argc, char** argv) {
       GCR_LOG_ERROR("bench.io").msg("cannot open " + path);
       return 2;
     }
-    const par::PoolTelemetry pool =
-        par::ThreadPool::global().telemetry().since(pool_before);
-    perf::write_bench_report(os, group, results, opts, &session, &pool);
+    perf::write_bench_report(os, group, results, opts, &session);
     std::cout << "wrote " << path << '\n';
     ++written;
   }

@@ -45,7 +45,6 @@
 #include "obs/report_util.h"
 #include "obs/session.h"
 #include "obs/trace.h"
-#include "par/pool.h"
 #include "perf/memhook.h"
 #include "prof/hwcounters.h"
 #include "verify/invariants.h"
@@ -100,7 +99,7 @@ void usage() {
          "  --csv                            machine-readable report\n"
          "  --report FILE                    gcr.run_report JSON: options, phase\n"
          "                                   timings with per-phase hw counters,\n"
-         "                                   counters, pool telemetry, results;\n"
+         "                                   counters, results;\n"
          "                                   on failure dumps FILE.flightrec.json\n"
          "  --trace FILE                     Chrome trace-event JSON (open in\n"
          "                                   chrome://tracing or Perfetto)\n"
@@ -384,10 +383,6 @@ int main(int argc, char** argv) {
     }
     if (a.verbose) {
       obs::print_session_summary(std::cerr, session);
-      const int width = a.threads > 0 ? a.threads : par::default_threads();
-      if (width > 1)
-        par::write_pool_summary(std::cerr,
-                                par::ThreadPool::global().telemetry());
       const perf::memhook::Stats m = perf::memhook::stats();
       char line[160];
       if (perf::memhook::available()) {
